@@ -9,7 +9,6 @@ from .coeffs import (
     ModelCoefficients,
     burns_speed,
     derived_intermediates,
-    identities_pass,
     identity_suite,
     model_coefficients,
     normalize,

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import besov as besov_mod
+from .checks import SUITES, spatial_error_ratio, temporal_order
 from .coeffs import (
     GeneralCoefficients,
     derived_intermediates,
@@ -25,29 +25,12 @@ from .coeffs import (
     normalize,
     perturbed,
 )
-from .forms import (
-    ProfileSum,
-    ScaleParams,
-    TravelingGaussian,
-    verify_form_equivalence,
-    verify_rescale,
-)
-from .oracles import helmholtz_inverse_quadrature
-from .solver import (
-    SimConfig,
-    Trajectory,
-    breaking_monitor,
-    integrate,
-    manufactured_forcing,
-    step_rk4,
-)
+from .solver import SimConfig, Trajectory, breaking_monitor, integrate
 from .spectral import (
     Field,
     Grid,
     field_to_csv,
-    helmholtz_inverse,
     random_mode_coefficients,
-    sup_norm,
     trig_field,
 )
 
@@ -147,97 +130,6 @@ def cmd_coeffs(args) -> int:
 # verify command
 # ---------------------------------------------------------------------------
 
-def _check_entry(check, n, length, residual, tolerance):
-    return {
-        "check": check,
-        "n": n,
-        "L": length,
-        "residual": float(residual),
-        "tolerance": tolerance,
-        "pass": bool(residual < tolerance),
-    }
-
-
-def _verify_helmholtz(seed: int):
-    grid = Grid(256, 40.0)
-    rng = np.random.default_rng(seed)
-    a, b = random_mode_coefficients(rng, max_mode=12)
-    f = trig_field(grid, a, b, amplitude=1.0)
-    direct = helmholtz_inverse(f).values
-    quad = helmholtz_inverse_quadrature(f)
-    residual = float(np.max(np.abs(direct - quad)))
-    return [_check_entry("helmholtz_kernel_quadrature", grid.n, grid.length,
-                         residual, 1e-8)]
-
-
-def _verify_form_equivalence(seed: int, m, g_override=None, samples: int = 50):
-    rng = np.random.default_rng(seed)
-    grid = Grid(256, 40.0)
-    worst = 0.0
-    for _ in range(samples):
-        a, b = random_mode_coefficients(rng, max_mode=10)
-        u = trig_field(grid, a, b, amplitude=0.8)
-        worst = max(worst, verify_form_equivalence(u, m, g_override))
-    entries = [_check_entry("form_equivalence", grid.n, grid.length, worst, 1e-8)]
-
-    # refinement: the same modal data on a coarse grid must be >= 1e3 worse
-    a, b = random_mode_coefficients(np.random.default_rng(seed + 1), max_mode=10)
-    coarse = verify_form_equivalence(trig_field(Grid(64, 40.0), a, b, amplitude=0.8), m, g_override)
-    fine = verify_form_equivalence(trig_field(grid, a, b, amplitude=0.8), m, g_override)
-    ratio_ok = coarse >= 1e3 * fine
-    entries.append({
-        "check": "form_equivalence_refinement",
-        "n": 256,
-        "L": 40.0,
-        "residual": float(fine / coarse if coarse > 0 else math.inf),
-        "tolerance": 1e-3,
-        "pass": bool(ratio_ok),
-    })
-    return entries
-
-
-def _verify_rescale(m):
-    profile = ProfileSum(
-        TravelingGaussian(amplitude=1.0, width=1.0, speed=0.7, center=-1.5),
-        TravelingGaussian(amplitude=0.6, width=1.7, speed=-0.4, center=2.0),
-    )
-    report = verify_rescale(profile, ScaleParams(0.2, 0.008), m)
-    return [{
-        "check": "rescale_single_factor",
-        "n": 0,
-        "L": 0.0,
-        "residual": report.defect,
-        "tolerance": report.tolerance,
-        "pass": report.passed,
-    }]
-
-
-def _verify_besov(seed: int, samples: int = 100):
-    rng = np.random.default_rng(seed)
-    grid = Grid(256, 40.0)
-    fields = []
-    for _ in range(samples):
-        a, b = random_mode_coefficients(rng, max_mode=40)
-        fields.append(trig_field(grid, a, b, amplitude=1.0))
-    report = besov_mod.inequality_suite(fields)
-    worst = max(r["defect_or_ratio"] for r in report if r["check"] != "log_interpolation_ratio")
-    entries = [_check_entry("besov_exact_inequalities", grid.n, grid.length,
-                            worst, 1e-12)]
-    recon = max(besov_mod.decompose(f).reconstruction_residual() for f in fields[:10])
-    entries.append(_check_entry("besov_reconstruction", grid.n, grid.length,
-                                recon, 1e-10))
-    ratios = [r["defect_or_ratio"] for r in report if r["check"] == "log_interpolation_ratio"]
-    entries.append({
-        "check": "besov_log_interpolation_ratio",
-        "n": grid.n,
-        "L": grid.length,
-        "residual": float(max(ratios)),
-        "tolerance": math.inf,
-        "pass": bool(all(math.isfinite(r) for r in ratios)),
-    })
-    return entries
-
-
 def cmd_verify(args) -> int:
     m = model_coefficients(args.A)
     g_override = None
@@ -247,19 +139,10 @@ def cmd_verify(args) -> int:
             raise ConfigError(f"unknown coefficient for fault injection: {args.inject_fault!r}; "
                               f"options: {sorted(g.to_dict())}")
         g_override = perturbed(g, args.inject_fault)
-    suites = {
-        "helmholtz": lambda: _verify_helmholtz(args.seed),
-        "form_equivalence": lambda: _verify_form_equivalence(args.seed, m, g_override),
-        "rescale": lambda: _verify_rescale(m),
-        "besov": lambda: _verify_besov(args.seed),
-    }
-    if args.only is not None:
-        if args.only not in suites:
-            raise ConfigError(f"unknown suite {args.only!r}; options: {sorted(suites)}")
-        suites = {args.only: suites[args.only]}
-    entries = []
-    for fn in suites.values():
-        entries.extend(fn())
+    if args.only is not None and args.only not in SUITES:
+        raise ConfigError(f"unknown suite {args.only!r}; options: {sorted(SUITES)}")
+    names = list(SUITES) if args.only is None else [args.only]
+    entries = [e for name in names for e in SUITES[name](args.seed, m, g_override)]
     for e in entries:
         flag = "PASS" if e["pass"] else "FAIL"
         print(f"  {e['check']:<34} n={e['n']:<5} residual={e['residual']:.3e} "
@@ -286,30 +169,55 @@ def _require(cfg: dict, key: str, types, context="config"):
     return value
 
 
+_REQUIRED = object()
+
+
+def _number(cfg: dict, key: str, default=_REQUIRED, integer: bool = False,
+            context: str = "config"):
+    """Numeric field: a JSON integer if ``integer``, else a finite JSON number
+    (returned as float).  Booleans and strings are rejected; an absent or
+    null field gives ``default``, or an error when there is none."""
+    value = cfg.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise ConfigError(f"{context}: missing field {key!r}")
+        return default
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        kind = "an integer" if integer else "a finite number"
+        raise ConfigError(f"{context}: field {key!r} must be {kind}, got {value!r}")
+    if integer:
+        return value
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{context}: field {key!r} must be a finite number, got {value!r}")
+    return value
+
+
 def initial_condition(cfg: dict, grid: Grid) -> Field:
     kind = _require(cfg, "initial", str)
     x = grid.x
     length = grid.length
-    amp = float(cfg.get("amplitude", 0.1))
+    amp = _number(cfg, "amplitude", 0.1)
     if kind == "zero":
         return Field(grid, np.zeros(grid.n))
-    if kind == "sine":
-        mode = int(cfg.get("mode", 1))
-        return Field(grid, amp * np.sin(2 * np.pi * mode * x / length))
-    if kind == "cosine":
-        mode = int(cfg.get("mode", 1))
-        return Field(grid, amp * np.cos(2 * np.pi * mode * x / length))
+    if kind in ("sine", "cosine"):
+        wave = np.sin if kind == "sine" else np.cos
+        mode = _number(cfg, "mode", 1, integer=True)
+        return Field(grid, amp * wave(2 * np.pi * mode * x / length))
     if kind == "sech2":
-        width = float(cfg.get("width", 1.0))
-        center = float(cfg.get("center", length / 2))
+        width = _number(cfg, "width", 1.0)
+        center = _number(cfg, "center", length / 2)
         return Field(grid, amp / np.cosh((x - center) / width) ** 2)
     if kind == "gaussian":
-        width = float(cfg.get("width", 1.0))
-        center = float(cfg.get("center", length / 2))
+        width = _number(cfg, "width", 1.0)
+        center = _number(cfg, "center", length / 2)
         return Field(grid, amp * np.exp(-((x - center) ** 2) / (2 * width**2)))
     if kind == "random_bandlimited":
-        rng = np.random.default_rng(int(cfg.get("seed", 0)))
-        a, b = random_mode_coefficients(rng, max_mode=int(cfg.get("max_mode", 8)))
+        rng = np.random.default_rng(_number(cfg, "seed", 0, integer=True))
+        a, b = random_mode_coefficients(rng, max_mode=_number(cfg, "max_mode", 8, integer=True))
         return trig_field(grid, a, b, amplitude=amp)
     raise ConfigError(f"config: unknown initial condition kind {kind!r}")
 
@@ -320,10 +228,10 @@ def coefficients_from_config(cfg: dict):
     if has_a == has_g:
         raise ConfigError("config: exactly one of 'vorticity' / 'coefficients' required")
     if has_a:
-        a = _require(cfg, "vorticity", (int, float))
+        a = _number(cfg, "vorticity")
         if a < 0:
             raise ConfigError("config: field 'vorticity' must be >= 0")
-        return normalize(model_coefficients(float(a))), {"vorticity": float(a)}
+        return normalize(model_coefficients(a)), {"vorticity": a}
     raw = _require(cfg, "coefficients", dict)
     names = [f.name for f in GeneralCoefficients.__dataclass_fields__.values()]  # type: ignore[attr-defined]
     unknown = sorted(set(raw) - set(names))
@@ -332,7 +240,8 @@ def coefficients_from_config(cfg: dict):
     missing = sorted(set(names) - set(raw))
     if missing:
         raise ConfigError(f"config: coefficients object missing {missing}")
-    g = GeneralCoefficients(**{k: float(raw[k]) for k in names})
+    g = GeneralCoefficients(**{k: _number(raw, k, context="config: coefficients")
+                               for k in names})
     return g, {"explicit_coefficients": True}
 
 
@@ -347,22 +256,20 @@ def load_config(path) -> dict:
         raise ConfigError(f"config {path} line {exc.lineno}: {exc.msg}")
     if not isinstance(cfg, dict):
         raise ConfigError("config: top level must be an object")
-    version = _require(cfg, "schema_version", int)
+    version = _number(cfg, "schema_version", integer=True)
     if version != SCHEMA_VERSION:
         raise ConfigError(f"config: schema_version {version} unsupported (want {SCHEMA_VERSION})")
     return cfg
 
 
 def sim_config_from_dict(cfg: dict):
-    n = _require(cfg, "n", int)
-    length = _require(cfg, "length", (int, float))
+    n = _number(cfg, "n", integer=True)
+    length = _number(cfg, "length")
     try:
-        grid = Grid(n, float(length))
+        grid = Grid(n, length)
     except ValueError as exc:
         raise ConfigError(f"config: {exc}")
     g, provenance = coefficients_from_config(cfg)
-    dt = cfg.get("dt")
-    cfl = cfg.get("cfl")
     policy = cfg.get("dealias", "two_thirds")
     if policy is not None and policy not in ("two_thirds", "strong"):
         raise ConfigError(f"config: field 'dealias' must be two_thirds|strong|null, got {policy!r}")
@@ -370,13 +277,13 @@ def sim_config_from_dict(cfg: dict):
         sim = SimConfig(
             grid=grid,
             coefficients=g,
-            t_end=float(_require(cfg, "t_end", (int, float))),
-            dt=None if dt is None else float(dt),
-            cfl=None if cfl is None else float(cfl),
+            t_end=_number(cfg, "t_end"),
+            dt=_number(cfg, "dt", None),
+            cfl=_number(cfg, "cfl", None),
             dealias_policy=policy,
-            snapshot_stride=int(cfg.get("snapshot_stride", 1)),
-            breaking_stop=None if cfg.get("breaking_stop") is None else float(cfg["breaking_stop"]),
-            sobolev_s=float(cfg.get("sobolev_s", 1.5)),
+            snapshot_stride=_number(cfg, "snapshot_stride", 1, integer=True),
+            breaking_stop=_number(cfg, "breaking_stop", None),
+            sobolev_s=_number(cfg, "sobolev_s", 1.5),
         )
     except ValueError as exc:
         raise ConfigError(f"config: {exc}")
@@ -455,74 +362,6 @@ def cmd_simulate(args) -> int:
 # convergence command
 # ---------------------------------------------------------------------------
 
-def mms_solution(length: float, amplitude: float = 0.1, mode: int = 1):
-    """Decaying traveling cosine with closed-form time derivative."""
-    k = 2 * np.pi * mode / length
-
-    def u_exact(t, x):
-        return amplitude * np.cos(k * (x - t)) * np.exp(-t / 10.0)
-
-    def u_exact_t(t, x):
-        return amplitude * np.exp(-t / 10.0) * (k * np.sin(k * (x - t))
-                                                - 0.1 * np.cos(k * (x - t)))
-
-    return u_exact, u_exact_t
-
-
-def mms_run(n: int, length: float, dt: float, t_end: float, g,
-            amplitude: float = 0.1, mode: int = 1) -> tuple:
-    """Integrate the manufactured problem; returns (final state, L-inf error)."""
-    grid = Grid(n, length)
-    u_exact, u_exact_t = mms_solution(length, amplitude, mode)
-    forcing = manufactured_forcing(grid, g, u_exact, u_exact_t, dealias_policy="two_thirds")
-    u = Field(grid, u_exact(0.0, grid.x))
-    t = 0.0
-    while t < t_end - 1e-12:
-        step = min(dt, t_end - t)
-        u = step_rk4(u, step, g, forcing, t, dealias_policy="two_thirds")
-        t += step
-    err = float(np.max(np.abs(u.values - u_exact(t_end, grid.x))))
-    return u, err
-
-
-def temporal_order(g, n: int = 64, length: float = 40.0, t_end: float = 1.0,
-                   dt0: float = 0.1) -> tuple:
-    """Richardson triple: successive solution differences at dt, dt/2, dt/4.
-
-    The manufactured wave uses mode 4 so the per-step phase advance is large
-    enough for the O(dt^4) error to sit well above round-off.
-    """
-    u1, e1 = mms_run(n, length, dt0, t_end, g, amplitude=0.2, mode=4)
-    u2, e2 = mms_run(n, length, dt0 / 2, t_end, g, amplitude=0.2, mode=4)
-    u3, e3 = mms_run(n, length, dt0 / 4, t_end, g, amplitude=0.2, mode=4)
-    d12 = sup_norm(u1 - u2)
-    d23 = sup_norm(u2 - u3)
-    order = math.log2(d12 / d23) if d23 > 0 else math.inf
-    return order, (e1, e2, e3)
-
-
-def spatial_error_ratio(g, length: float = 40.0, t_end: float = 0.5,
-                        dt: float = 5e-4, amplitude: float = 0.1,
-                        width: float = 2.0) -> tuple:
-    """Unforced smooth Gaussian run: coarse-grid error against an n=256
-    reference on shared nodes.  The profile is wide enough that everything
-    past the coarse dealias band is spectrally small."""
-    results = {}
-    for n in (64, 128, 256):
-        grid = Grid(n, length)
-        u0 = Field(grid, amplitude * np.exp(-((grid.x - length / 2) ** 2) / (2 * width**2)))
-        sim = SimConfig(grid=grid, coefficients=g, t_end=t_end, dt=dt,
-                        dealias_policy="two_thirds", snapshot_stride=10**9)
-        traj = integrate(sim, u0)
-        results[n] = traj.final()
-    ref = results[256]
-    errors = {}
-    for n in (64, 128):
-        stride = 256 // n
-        errors[n] = float(np.max(np.abs(results[n].values - ref.values[::stride])))
-    return errors[64] / max(errors[128], 1e-300), errors
-
-
 def cmd_convergence(args) -> int:
     g = normalize(model_coefficients(args.A))
     order, errs = temporal_order(g)
@@ -565,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="cross-check suites (oracle comparisons)")
     p.add_argument("--A", type=float, default=1.5)
     p.add_argument("--seed", type=int, default=20240)
-    p.add_argument("--only", help="run a single suite")
+    p.add_argument("--only", help=f"run a single suite: {', '.join(SUITES)}")
     p.add_argument("--json", help="write per-check JSON here")
     p.add_argument("--inject-fault", help="perturb one model coefficient (test mode)")
     p.set_defaults(fn=cmd_verify)

@@ -43,7 +43,6 @@ __all__ = [
     "normalize",
     "IdentityCheck",
     "identity_suite",
-    "identities_pass",
 ]
 
 
@@ -194,10 +193,6 @@ class ModelCoefficients:
             z0=_z0(c),
         )
 
-    @classmethod
-    def from_vorticity(cls, vorticity: float) -> "ModelCoefficients":
-        return cls.from_speed(burns_speed(vorticity), vorticity=float(vorticity))
-
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
@@ -245,9 +240,6 @@ class GeneralCoefficients:
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def polynomial_flux(self):
-        return (self.beta1, self.beta2, self.beta3, self.beta4, self.beta5, self.beta6)
 
 
 def _half(like):
@@ -346,22 +338,18 @@ class DerivedIntermediates:
             gamma6_times_1_minus_nu=g6_prod,
         )
 
-    @classmethod
-    def from_vorticity(cls, vorticity: float) -> "DerivedIntermediates":
-        return cls.from_speed(burns_speed(vorticity))
-
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def model_coefficients(vorticity: float) -> ModelCoefficients:
     """All constants of the local evolution form at vorticity A >= 0."""
-    return ModelCoefficients.from_vorticity(vorticity)
+    return ModelCoefficients.from_speed(burns_speed(vorticity), vorticity=float(vorticity))
 
 
 def derived_intermediates(vorticity: float) -> DerivedIntermediates:
     """The derivation's intermediate constants at vorticity A >= 0."""
-    return DerivedIntermediates.from_vorticity(vorticity)
+    return DerivedIntermediates.from_speed(burns_speed(vorticity))
 
 
 def normalize(m: ModelCoefficients) -> GeneralCoefficients:
@@ -436,10 +424,6 @@ def identity_suite(vorticity: float, tol: float = 1e-12) -> list:
         add("omegas_vanish_irrotational",
             max(abs(m.omega1), abs(m.omega2), abs(m.omega3), abs(m.omega4)), 0.0)
     return checks
-
-
-def identities_pass(vorticity: float, tol: float = 1e-12) -> bool:
-    return all(chk.passed for chk in identity_suite(vorticity, tol))
 
 
 def perturbed(coefficients, field: str, relative: float = 1e-6):

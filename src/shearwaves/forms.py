@@ -145,19 +145,11 @@ def residual_rescaled_form(u: Field, u_t: Field, m: ModelCoefficients) -> Field:
 
 def velocity_rate_from_rescaled_form(u: Field, m: ModelCoefficients) -> Field:
     """u_t extracted from the rescaled form: every non-time term moved right
-    and (1 - dxx)^-1 applied (exact on the grid, the operator is diagonal)."""
-    al, be = m.alpha, m.beta
-    v = u.values
+    and (1 - dxx)^-1 applied (exact on the grid, the operator is diagonal).
+    The residual is linear in u_t - u_txx, so the moved terms are minus the
+    residual at u_t = u_txx = 0."""
     ux, uxx, uxxx = _spatial_derivatives(u)
-    u2 = v * v
-    moved = (-m.c * ux - 3 * v * ux + (m.beta0 / be) * uxxx
-             - (m.omega1 / al**2) * u2 * ux
-             - (m.omega2 / al**3) * u2 * v * ux
-             - (m.omega3 / al**4) * u2 * u2 * ux
-             - (m.omega4 / al**5) * u2 * u2 * v * ux
-             + 2 * ux * uxx + v * uxxx
-             + (m.omega7 * v * ux * uxx + m.omega5 * u2 * uxxx + m.omega6 * ux**3)
-             / (al**2 * be))
+    moved = -rescaled_form_terms(u.values, 0.0, ux, uxx, uxxx, 0.0, m)
     return helmholtz_inverse(Field(u.grid, moved))
 
 

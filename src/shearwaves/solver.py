@@ -91,7 +91,6 @@ class DiagnosticsRecord:
 
 @dataclass
 class Trajectory:
-    times: list = dataclass_field(default_factory=list)
     snapshots: list = dataclass_field(default_factory=list)
     records: list = dataclass_field(default_factory=list)
     termination: str = "completed"
@@ -166,7 +165,6 @@ def integrate(cfg: SimConfig, u0: Field) -> Trajectory:
         rec = _diagnose(state, time, cfg.sobolev_s, prev)
         traj.records.append(rec)
         traj.snapshots.append(state.copy())
-        traj.times.append(time)
         return rec
 
     rec = record(u, t)

@@ -33,10 +33,6 @@ class Grid:
         self.k_max = np.pi * self.n / self.length
         self.nyquist_index = self.n // 2
 
-    @property
-    def wavenumbers(self) -> np.ndarray:
-        return self.k
-
     def __eq__(self, other):
         return isinstance(other, Grid) and self.n == other.n and self.length == other.length
 
@@ -84,14 +80,6 @@ class Field:
         if self._hat is None:
             self._hat = np.fft.fft(self.values) / self.grid.n
         return self._hat
-
-    @property
-    def samples(self) -> np.ndarray:
-        return self.values
-
-    @property
-    def spectrum(self) -> np.ndarray:
-        return self.hat
 
     def copy(self) -> "Field":
         f = Field(self.grid, self.values.copy())

@@ -169,6 +169,15 @@ def test_simulate_breaking_flag_in_manifest(tmp_path):
     (lambda c: c.update(dealias="hard"), "'dealias'"),
     (lambda c: c.update(schema_version=99), "schema_version"),
     (lambda c: c.pop("vorticity"), "vorticity"),
+    # numeric fields: finite JSON numbers, JSON integers where counts are meant
+    (lambda c: c.update(t_end=float("inf")), "'t_end' must be a finite number"),
+    (lambda c: c.update(amplitude=float("nan")), "'amplitude' must be a finite number"),
+    (lambda c: c.update(vorticity=float("nan")), "'vorticity' must be a finite number"),
+    (lambda c: c.update(length=10**400), "'length' must be a finite number"),
+    (lambda c: c.update(snapshot_stride=float("inf")), "'snapshot_stride' must be an integer, got inf"),
+    (lambda c: c.update(snapshot_stride="5"), "'snapshot_stride' must be an integer, got '5'"),
+    (lambda c: c.update(schema_version=True), "'schema_version' must be an integer"),
+    (lambda c: c.update(initial="sine", mode=2.7), "'mode' must be an integer"),
 ])
 def test_simulate_config_errors(tmp_path, capsys, mutate, message_part):
     cfg_path = tmp_path / "bad.json"

@@ -4,6 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from shearwaves.checks import mms_solution
 from shearwaves.coeffs import GeneralCoefficients, model_coefficients, normalize
 from shearwaves.solver import (
     DIAGNOSTICS_HEADER,
@@ -78,25 +79,10 @@ def test_linear_mode_one_period_amplitude_error():
     assert np.max(np.abs(u.values - exact)) < 1e-8
 
 
-def test_temporal_self_convergence_order():
-    from shearwaves.cli import temporal_order
-
-    g = normalize(model_coefficients(1.5))
-    order, _ = temporal_order(g)
-    assert order >= 3.8
-
-
 def test_mms_exactness_n128():
     g = normalize(model_coefficients(1.5))
     grid = Grid(128, 40.0)
-    k = 2 * np.pi / 40.0
-
-    def u_exact(t, x):
-        return 0.1 * np.cos(k * (x - t)) * np.exp(-t / 10.0)
-
-    def u_exact_t(t, x):
-        return 0.1 * np.exp(-t / 10.0) * (k * np.sin(k * (x - t)) - 0.1 * np.cos(k * (x - t)))
-
+    u_exact, u_exact_t = mms_solution(40.0)
     forcing = manufactured_forcing(grid, g, u_exact, u_exact_t, "two_thirds")
     cfg = SimConfig(grid=grid, coefficients=g, t_end=1.0, dt=1e-3,
                     forcing=forcing, snapshot_stride=200)
@@ -219,24 +205,6 @@ def test_no_breaking_evidence_on_linear_run():
     u0 = Field(grid, 0.3 * np.sin(2 * np.pi * grid.x / 40.0))
     cfg = SimConfig(grid=grid, coefficients=g_lin, t_end=2.0, dt=2e-3, snapshot_stride=20)
     traj = integrate(cfg, u0)
-    assert breaking_monitor(traj.records) == "no_breaking_evidence"
-
-
-def test_no_breaking_evidence_on_decaying_mms():
-    g = normalize(model_coefficients(1.5))
-    grid = Grid(128, 40.0)
-    k = 2 * np.pi / 40.0
-
-    def u_exact(t, x):
-        return 0.1 * np.cos(k * (x - t)) * np.exp(-t / 10.0)
-
-    def u_exact_t(t, x):
-        return 0.1 * np.exp(-t / 10.0) * (k * np.sin(k * (x - t)) - 0.1 * np.cos(k * (x - t)))
-
-    forcing = manufactured_forcing(grid, g, u_exact, u_exact_t, "two_thirds")
-    cfg = SimConfig(grid=grid, coefficients=g, t_end=2.0, dt=2e-3,
-                    forcing=forcing, snapshot_stride=20)
-    traj = integrate(cfg, Field(grid, u_exact(0.0, grid.x)))
     assert breaking_monitor(traj.records) == "no_breaking_evidence"
 
 
