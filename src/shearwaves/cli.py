@@ -207,17 +207,23 @@ def initial_condition(cfg: dict, grid: Grid) -> Field:
         wave = np.sin if kind == "sine" else np.cos
         mode = _number(cfg, "mode", 1, integer=True)
         return Field(grid, amp * wave(2 * np.pi * mode * x / length))
-    if kind == "sech2":
+    if kind in ("sech2", "gaussian"):
         width = _number(cfg, "width", 1.0)
+        if not width > 0:
+            raise ConfigError(f"config: field 'width' must be > 0, got {width!r}")
         center = _number(cfg, "center", length / 2)
-        return Field(grid, amp / np.cosh((x - center) / width) ** 2)
-    if kind == "gaussian":
-        width = _number(cfg, "width", 1.0)
-        center = _number(cfg, "center", length / 2)
+        if kind == "sech2":
+            return Field(grid, amp / np.cosh((x - center) / width) ** 2)
         return Field(grid, amp * np.exp(-((x - center) ** 2) / (2 * width**2)))
     if kind == "random_bandlimited":
-        rng = np.random.default_rng(_number(cfg, "seed", 0, integer=True))
-        a, b = random_mode_coefficients(rng, max_mode=_number(cfg, "max_mode", 8, integer=True))
+        seed = _number(cfg, "seed", 0, integer=True)
+        if seed < 0:
+            raise ConfigError(f"config: field 'seed' must be >= 0, got {seed}")
+        max_mode = _number(cfg, "max_mode", 8, integer=True)
+        if not 1 <= max_mode < grid.n // 2:
+            raise ConfigError(f"config: field 'max_mode' must lie in [1, n/2) = "
+                              f"[1, {grid.n // 2}), got {max_mode}")
+        a, b = random_mode_coefficients(np.random.default_rng(seed), max_mode=max_mode)
         return trig_field(grid, a, b, amplitude=amp)
     raise ConfigError(f"config: unknown initial condition kind {kind!r}")
 

@@ -19,14 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import GeneralCoefficients, ModelCoefficients, normalize
-from .spectral import (
-    Field,
-    dealias,
-    derivative,
-    helmholtz_inverse,
-    helmholtz_inverse_dx,
-    sup_norm,
-)
+from .spectral import Field, derivative, helmholtz_inverse, sup_norm
 
 __all__ = [
     "ScaleParams",
@@ -65,24 +58,25 @@ def rhs_nonlocal(u: Field, g: GeneralCoefficients, dealias_policy: str | None = 
     du/dt = -(a1 + a2 u + a3 u^2) u_x
             + (1-dxx)^-1 [ d/dx(sum_i b_i u^i + b7 u_x^2 + b8 u u_x^2) + gamma u_x^3 ]
 
-    Products are formed in sample space, derivatives and the smoothing
-    operator in spectral space.  When a dealias policy is given the assembled
-    rate is projected onto the retained band (equivalent to cutting each
-    product before the final transform, since the multipliers are diagonal).
+    Products are formed in sample space; the advection, flux and cubic
+    products are transformed in one batched rfft, combined with the grid's
+    half-spectrum multipliers and the dealias mask of the policy (which
+    projects the assembled rate onto the retained band), and brought back by
+    one irfft: four transform calls per evaluation.
     """
+    grid = u.grid
+    mask = grid.dealias_mask(dealias_policy)
     v = u.values
-    vx = derivative(u).values
-    advection = -(g.alpha1 + g.alpha2 * v + g.alpha3 * v * v) * vx
+    vx = np.fft.irfft(grid.mult_dx * np.fft.rfft(v), grid.n)
     slope2 = vx * vx
-    flux = v * (g.beta1 + v * (g.beta2 + v * (g.beta3 + v * (g.beta4 + v * (g.beta5 + v * g.beta6)))))
-    flux += g.beta7 * slope2 + g.beta8 * v * slope2
-    rate = (advection
-            + helmholtz_inverse_dx(Field(u.grid, flux)).values
-            + helmholtz_inverse(Field(u.grid, g.gamma * slope2 * vx)).values)
-    out = Field(u.grid, rate)
-    if dealias_policy is not None:
-        out = dealias(out, dealias_policy)
-    return out
+    products = np.empty((3, grid.n))
+    products[0] = -(g.alpha1 + g.alpha2 * v + g.alpha3 * v * v) * vx
+    products[1] = v * (g.beta1 + v * (g.beta2 + v * (g.beta3 + v * (g.beta4 + v * (g.beta5 + v * g.beta6)))))
+    products[1] += g.beta7 * slope2 + g.beta8 * v * slope2
+    products[2] = g.gamma * slope2 * vx
+    advection, flux, cubic = np.fft.rfft(products)
+    rate = mask * (advection + grid.mult_helmholtz_dx * flux + grid.mult_helmholtz * cubic)
+    return Field(grid, np.fft.irfft(rate, grid.n))
 
 
 def local_form_terms(u, ut, ux, uxx, uxxx, utxx, m: ModelCoefficients, s: ScaleParams):

@@ -1,8 +1,9 @@
 """Periodic grid, spectral differentiation and the smoothing operator (1 - dxx)^-1.
 
-Transform convention (pinned, tests rely on it): the forward transform divides
-by n, so ``f.hat[j]`` is the coefficient of exp(i*k_j*x) and Fourier multipliers
-apply directly to ``hat``.  Wavenumbers follow numpy's fft ordering.
+The operators apply half-spectrum (``rfft``) multipliers cached on ``Grid``.
+``Field.hat`` stays the full forward transform divided by n (pinned, tests
+rely on it): ``f.hat[j]`` is the coefficient of exp(i*k_j*x), with ``Grid.k``
+in numpy's fft ordering.
 """
 from __future__ import annotations
 
@@ -32,6 +33,22 @@ class Grid:
         self.k = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
         self.k_max = np.pi * self.n / self.length
         self.nyquist_index = self.n // 2
+        # half-spectrum multipliers; the odd ones zero the Nyquist bin to stay real
+        k = 2.0 * np.pi * np.fft.rfftfreq(self.n, d=self.dx)
+        self.mult_dx = 1j * k
+        self.mult_dx[-1] = 0.0
+        self.mult_helmholtz = 1.0 / (1.0 + k**2)
+        self.mult_helmholtz_dx = self.mult_dx / (1.0 + k**2)
+        self.dealias_masks = {policy: (k <= fraction * self.k_max).astype(float)
+                              for policy, fraction in {None: np.inf, **DEALIAS_FRACTIONS}.items()}
+
+    def dealias_mask(self, policy: str | None) -> np.ndarray:
+        """0/1 half-spectrum mask of a dealias policy; None keeps every mode."""
+        try:
+            return self.dealias_masks[policy]
+        except KeyError:
+            raise ValueError(f"unknown dealias policy {policy!r}; "
+                             f"options: {sorted(DEALIAS_FRACTIONS)}") from None
 
     def __eq__(self, other):
         return isinstance(other, Grid) and self.n == other.n and self.length == other.length
@@ -82,9 +99,7 @@ class Field:
         return self._hat
 
     def copy(self) -> "Field":
-        f = Field(self.grid, self.values.copy())
-        f._hat = None if self._hat is None else self._hat.copy()
-        return f
+        return Field(self.grid, self.values.copy())
 
     # value-like arithmetic, enough for time stepping
     def __add__(self, other):
@@ -113,45 +128,29 @@ class Field:
 
 
 def _apply_multiplier(f: Field, multiplier: np.ndarray) -> Field:
-    hat = f.hat * multiplier
-    out = Field(f.grid, (np.fft.ifft(hat) * f.grid.n).real)
-    out._hat = hat
-    return out
+    return Field(f.grid, np.fft.irfft(multiplier * np.fft.rfft(f.values), f.grid.n))
 
 
 def derivative(f: Field) -> Field:
-    """Spectral d/dx; the Nyquist bin of the odd multiplier is zeroed to keep
-    the result real."""
-    g = f.grid
-    mult = 1j * g.k
-    mult[g.nyquist_index] = 0.0
-    return _apply_multiplier(f, mult)
+    """Spectral d/dx, multiplier ik with the Nyquist bin zeroed."""
+    return _apply_multiplier(f, f.grid.mult_dx)
 
 
 def helmholtz_inverse(f: Field) -> Field:
     """(1 - dxx)^-1 as the multiplier 1/(1+k^2); equals convolution with the
     periodization of (1/2)exp(-|x|)."""
-    return _apply_multiplier(f, 1.0 / (1.0 + f.grid.k**2))
+    return _apply_multiplier(f, f.grid.mult_helmholtz)
 
 
 def helmholtz_inverse_dx(f: Field) -> Field:
     """d/dx (1 - dxx)^-1, multiplier ik/(1+k^2), Nyquist zeroed."""
-    g = f.grid
-    mult = 1j * g.k / (1.0 + g.k**2)
-    mult[g.nyquist_index] = 0.0
-    return _apply_multiplier(f, mult)
+    return _apply_multiplier(f, f.grid.mult_helmholtz_dx)
 
 
-def dealias(f: Field, policy: str = "two_thirds") -> Field:
+def dealias(f: Field, policy: str | None = "two_thirds") -> Field:
     """Zero every mode with |k| above the policy fraction of the Nyquist
-    wavenumber."""
-    try:
-        fraction = DEALIAS_FRACTIONS[policy]
-    except KeyError:
-        raise ValueError(f"unknown dealias policy {policy!r}; options: {sorted(DEALIAS_FRACTIONS)}")
-    g = f.grid
-    mask = np.abs(g.k) <= fraction * g.k_max
-    return _apply_multiplier(f, mask.astype(float))
+    wavenumber; None keeps every mode."""
+    return _apply_multiplier(f, f.grid.dealias_mask(policy))
 
 
 def mean(f: Field) -> float:

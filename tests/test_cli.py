@@ -178,14 +178,24 @@ def test_simulate_breaking_flag_in_manifest(tmp_path):
     (lambda c: c.update(snapshot_stride="5"), "'snapshot_stride' must be an integer, got '5'"),
     (lambda c: c.update(schema_version=True), "'schema_version' must be an integer"),
     (lambda c: c.update(initial="sine", mode=2.7), "'mode' must be an integer"),
+    # range checks on initial-condition fields
+    (lambda c: c.update(initial="random_bandlimited", n=256, seed=-1), "'seed' must be >= 0"),
+    (lambda c: c.update(initial="random_bandlimited", n=256, max_mode=128),
+     "'max_mode' must lie in [1, n/2) = [1, 128), got 128"),
+    (lambda c: c.update(initial="random_bandlimited", max_mode=0),
+     "'max_mode' must lie in [1, n/2) = [1, 64), got 0"),
+    (lambda c: c.update(width=0), "'width' must be > 0, got 0.0"),
+    (lambda c: c.update(initial="gaussian", width=-1.5), "'width' must be > 0, got -1.5"),
 ])
 def test_simulate_config_errors(tmp_path, capsys, mutate, message_part):
     cfg_path = tmp_path / "bad.json"
     cfg = _write_config(cfg_path)
     mutate(cfg)
     cfg_path.write_text(json.dumps(cfg))
-    assert run_cli("simulate", str(cfg_path)) == 2
+    outdir = tmp_path / "out"
+    assert run_cli("simulate", str(cfg_path), "--out", str(outdir)) == 2
     assert message_part in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 def test_simulate_malformed_json(tmp_path, capsys):

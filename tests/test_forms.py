@@ -19,7 +19,7 @@ from shearwaves.forms import (
     verify_form_equivalence,
     verify_rescale,
 )
-from shearwaves.oracles import camassa_holm_rhs
+from shearwaves.oracles import camassa_holm_rhs, helmholtz_inverse_quadrature, trig_eval
 from shearwaves.spectral import (
     Field,
     Grid,
@@ -81,6 +81,61 @@ def test_rhs_matches_independent_ch_oracle(grid, seed):
     mine = rhs_nonlocal(u, CH)
     oracle = camassa_holm_rhs(u, drift=CH.alpha1)
     assert sup_norm(mine - oracle) < 1e-12
+
+
+@pytest.mark.parametrize("policy", [None, "two_thirds", "strong"])
+def test_rhs_matches_raw_fft_composition(grid, policy):
+    # every coefficient nonzero; the expected rate is composed from full
+    # complex transforms and grid.k, not from the grid's cached multipliers
+    fraction = {None: math.inf, "two_thirds": 2.0 / 3.0, "strong": 2.0 / 7.0}[policy]
+    rng = np.random.default_rng(13)
+    names = [f.name for f in dataclasses.fields(GeneralCoefficients)]
+    g = GeneralCoefficients(**dict(zip(names, rng.uniform(0.2, 1.0, 12) * rng.choice([-1, 1], 12))))
+    k = grid.k
+    ik = 1j * k
+    ik[grid.n // 2] = 0.0
+    for _ in range(3):
+        a, b = random_mode_coefficients(rng, 16)
+        v = trig_field(grid, a, b, amplitude=0.6).values
+        ux = np.fft.ifft(ik * np.fft.fft(v)).real
+        advection = -(g.alpha1 + g.alpha2 * v + g.alpha3 * v**2) * ux
+        flux = sum(getattr(g, f"beta{i}") * v**i for i in range(1, 7))
+        flux = flux + g.beta7 * ux**2 + g.beta8 * v * ux**2
+        rate_hat = (np.fft.fft(advection) + ik / (1 + k**2) * np.fft.fft(flux)
+                    + np.fft.fft(g.gamma * ux**3) / (1 + k**2))
+        expect = np.fft.ifft(rate_hat * (np.abs(k) <= fraction * grid.k_max)).real
+        got = rhs_nonlocal(Field(grid, v), g, policy).values
+        assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+
+def test_rhs_unknown_policy(grid):
+    with pytest.raises(ValueError):
+        rhs_nonlocal(Field(grid, np.zeros(grid.n)), CH, "off")
+
+
+def test_oracles_ignore_cached_multipliers():
+    # the oracles must stay independent of the fast path they check: garbage
+    # in the grid's cached multipliers changes rhs_nonlocal and nothing else
+    grid = Grid(64, 40.0)
+    a, b = random_mode_coefficients(np.random.default_rng(14), 8)
+    values = trig_field(grid, a, b, amplitude=0.5).values
+    points = np.linspace(0.0, 40.0, 7)
+
+    def evaluate():
+        u = Field(grid, values.copy())
+        return (rhs_nonlocal(u, CH).values, camassa_holm_rhs(u, drift=0.3).values,
+                helmholtz_inverse_quadrature(u), trig_eval(u, points))
+
+    before = evaluate()
+    garbage = np.random.default_rng(15)
+    for name in ("mult_dx", "mult_helmholtz", "mult_helmholtz_dx"):
+        setattr(grid, name, garbage.standard_normal(grid.n // 2 + 1) * 1j)
+    grid.dealias_masks = {policy: garbage.standard_normal(grid.n // 2 + 1)
+                          for policy in grid.dealias_masks}
+    after = evaluate()
+    assert np.max(np.abs(after[0] - before[0])) > 1e-3
+    for old, new in zip(before[1:], after[1:]):
+        assert np.array_equal(old, new)
 
 
 def test_advection_translates_at_alpha1():

@@ -34,6 +34,13 @@ def test_grid_validation():
         Grid(64, -1.0)
 
 
+def test_grid_equality_ignores_cached_multipliers():
+    a, b = Grid(64, 40.0), Grid(64, 40.0)
+    b.mult_helmholtz = np.zeros_like(b.mult_helmholtz)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != Grid(64, 20.0) and a != Grid(128, 40.0)
+
+
 def test_grid_wavenumbers(grid):
     assert grid.k[0] == 0.0
     assert grid.k[1] == pytest.approx(2 * np.pi / 40.0)
@@ -169,6 +176,14 @@ def test_dealias_kills_nyquist(grid):
     f = Field(grid, np.cos(np.pi * np.arange(grid.n)))  # pure Nyquist mode
     assert np.max(np.abs(dealias(f, "two_thirds").values)) < 1e-13
     assert np.max(np.abs(dealias(f, "strong").values)) < 1e-13
+
+
+def test_odd_multipliers_zero_the_nyquist_mode(grid):
+    f = Field(grid, np.cos(np.pi * grid.n * grid.x / grid.length))  # pure Nyquist mode
+    assert np.all(derivative(f).values == 0.0)
+    assert np.all(helmholtz_inverse_dx(f).values == 0.0)
+    expect = f.values / (1.0 + grid.k_max**2)
+    assert np.max(np.abs(helmholtz_inverse(f).values - expect)) < 1e-15 * np.max(np.abs(expect))
 
 
 def test_dealias_unknown_policy(grid):
