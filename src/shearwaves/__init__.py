@@ -19,7 +19,6 @@ from .forms import (
     ScaleParams,
     TravelingGaussian,
     residual_local_form,
-    residual_rescaled_form,
     rhs_nonlocal,
     surface_elevation_leading,
     velocity_rate_from_rescaled_form,

@@ -116,8 +116,15 @@ def besov_norm(u: Field, s: float, p: float, r: float) -> float:
     return besov_norm_from_blocks(decompose(u), s, p, r)
 
 
-def inequality_suite(fields, p: float = 2.0, s1: float = 0.5, s2: float = 1.5,
-                     theta: float = 0.5, exact_tol: float = 1e-12) -> list:
+# indices of the exact-inequality checks: B^s_{P,r} at s in {S1, S2} and the
+# convex combination THETA*S1 + (1 - THETA)*S2
+P = 2.0
+S1 = 0.5
+S2 = 1.5
+THETA = 0.5
+
+
+def inequality_suite(fields, exact_tol: float = 1e-12) -> list:
     """Exact-inequality checks over a sample of fields.
 
     Per field: (a) summation-index monotonicity (l^r nesting), (b) convexity
@@ -133,34 +140,34 @@ def inequality_suite(fields, p: float = 2.0, s1: float = 0.5, s2: float = 1.5,
         blocks = decompose(u)
 
         for r1, r2 in ((1.0, 2.0), (2.0, math.inf), (1.0, math.inf)):
-            n1 = besov_norm_from_blocks(blocks, s1, p, r1)
-            n2 = besov_norm_from_blocks(blocks, s1, p, r2)
+            n1 = besov_norm_from_blocks(blocks, S1, P, r1)
+            n2 = besov_norm_from_blocks(blocks, S1, P, r2)
             defect = max(0.0, n2 - n1)
             results.append({
                 "check": "r_monotonicity",
-                "params": {"field": idx, "s": s1, "p": p, "r1": r1, "r2": r2},
+                "params": {"field": idx, "s": S1, "p": P, "r1": r1, "r2": r2},
                 "defect_or_ratio": defect,
                 "pass": bool(defect <= exact_tol * max(n1, 1e-300)),
             })
 
-        s_mid = theta * s1 + (1.0 - theta) * s2
+        s_mid = THETA * S1 + (1.0 - THETA) * S2
         for r in (1.0, 2.0, math.inf):
-            na = besov_norm_from_blocks(blocks, s1, p, r)
-            nb = besov_norm_from_blocks(blocks, s2, p, r)
-            nm = besov_norm_from_blocks(blocks, s_mid, p, r)
-            bound = na**theta * nb ** (1.0 - theta)
+            na = besov_norm_from_blocks(blocks, S1, P, r)
+            nb = besov_norm_from_blocks(blocks, S2, P, r)
+            nm = besov_norm_from_blocks(blocks, s_mid, P, r)
+            bound = na**THETA * nb ** (1.0 - THETA)
             defect = max(0.0, nm - bound)
             results.append({
                 "check": "interpolation",
-                "params": {"field": idx, "s1": s1, "s2": s2, "theta": theta,
-                           "p": p, "r": r},
+                "params": {"field": idx, "s1": S1, "s2": S2, "theta": THETA,
+                           "p": P, "r": r},
                 "defect_or_ratio": defect,
                 "pass": bool(defect <= exact_tol * max(bound, 1e-300)),
             })
 
-        n_low_1 = besov_norm_from_blocks(blocks, 1.0 / p, p, 1.0)
-        n_low_inf = besov_norm_from_blocks(blocks, 1.0 / p, p, math.inf)
-        n_high_inf = besov_norm_from_blocks(blocks, 1.0 + 1.0 / p, p, math.inf)
+        n_low_1 = besov_norm_from_blocks(blocks, 1.0 / P, P, 1.0)
+        n_low_inf = besov_norm_from_blocks(blocks, 1.0 / P, P, math.inf)
+        n_high_inf = besov_norm_from_blocks(blocks, 1.0 + 1.0 / P, P, math.inf)
         if n_low_inf > 0:
             ratio = n_low_1 / (n_low_inf * math.log(math.e + n_high_inf / n_low_inf))
         else:
@@ -171,7 +178,7 @@ def inequality_suite(fields, p: float = 2.0, s1: float = 0.5, s2: float = 1.5,
     for idx, ratio in ratios:
         results.append({
             "check": "log_interpolation_ratio",
-            "params": {"field": idx, "p": p, "fitted_constant": fitted},
+            "params": {"field": idx, "p": P, "fitted_constant": fitted},
             "defect_or_ratio": ratio,
             "pass": bool(math.isfinite(ratio) and ratio <= fitted),
         })

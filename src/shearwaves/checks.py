@@ -15,6 +15,7 @@ import numpy as np
 
 from . import besov as besov_mod
 from .forms import (
+    RESCALE_TOL,
     ProfileSum,
     ScaleParams,
     TravelingGaussian,
@@ -32,12 +33,22 @@ from .spectral import (
     trig_field,
 )
 
-__all__ = ["SUITES", "mms_solution", "mms_run", "temporal_order", "spatial_error_ratio"]
+__all__ = ["SUITES", "MIN_ORDER", "MIN_RATIO", "mms_solution", "temporal_order",
+           "spatial_error_ratio"]
+
+# the ``convergence`` gate: temporal order >= MIN_ORDER and spatial ratio > MIN_RATIO
+MIN_ORDER = 3.8
+MIN_RATIO = 1e3
 
 
 # ---------------------------------------------------------------------------
 # verify suites
 # ---------------------------------------------------------------------------
+
+# random fields drawn by the sample-based suites
+FORM_SAMPLES = 50
+BESOV_SAMPLES = 100
+
 
 def _check_entry(check, n, length, residual, tolerance, passed=None):
     """One verify entry; passes when residual < tolerance unless ``passed``
@@ -64,11 +75,11 @@ def helmholtz_suite(seed: int):
                          residual, 1e-8)]
 
 
-def form_equivalence_suite(seed: int, m, g_override=None, samples: int = 50):
+def form_equivalence_suite(seed: int, m, g_override=None):
     rng = np.random.default_rng(seed)
     grid = Grid(256, 40.0)
     residuals = []
-    for _ in range(samples):
+    for _ in range(FORM_SAMPLES):
         a, b = random_mode_coefficients(rng, max_mode=10)
         u = trig_field(grid, a, b, amplitude=0.8)
         residuals.append(verify_form_equivalence(u, m, g_override))
@@ -91,15 +102,15 @@ def rescale_suite(m):
         TravelingGaussian(amplitude=0.6, width=1.7, speed=-0.4, center=2.0),
     )
     report = verify_rescale(profile, ScaleParams(0.2, 0.008), m)
-    return [_check_entry("rescale_single_factor", 0, 0.0, report.defect, report.tolerance,
+    return [_check_entry("rescale_single_factor", 0, 0.0, report.defect, RESCALE_TOL,
                          passed=report.passed)]
 
 
-def besov_suite(seed: int, samples: int = 100):
+def besov_suite(seed: int):
     rng = np.random.default_rng(seed)
     grid = Grid(256, 40.0)
     fields = []
-    for _ in range(samples):
+    for _ in range(BESOV_SAMPLES):
         a, b = random_mode_coefficients(rng, max_mode=40)
         fields.append(trig_field(grid, a, b, amplitude=1.0))
     report = besov_mod.inequality_suite(fields)
@@ -144,49 +155,56 @@ def mms_solution(length: float, amplitude: float = 0.1, mode: int = 1):
     return u_exact, u_exact_t
 
 
-def mms_run(n: int, length: float, dt: float, t_end: float, g,
-            amplitude: float = 0.1, mode: int = 1) -> tuple:
-    """Integrate the manufactured problem; returns (final state, L-inf error)."""
-    grid = Grid(n, length)
-    u_exact, u_exact_t = mms_solution(length, amplitude, mode)
-    forcing = manufactured_forcing(grid, g, u_exact, u_exact_t, dealias_policy="two_thirds")
-    sim = SimConfig(grid=grid, coefficients=g, t_end=t_end, dt=dt, forcing=forcing,
-                    snapshot_stride=10**9)
-    u = integrate(sim, Field(grid, u_exact(0.0, grid.x))).final()
-    err = float(np.max(np.abs(u.values - u_exact(t_end, grid.x))))
-    return u, err
+# temporal study: the mode-4 wave on n = 64 at dt0, dt0/2 and dt0/4
+MMS_N = 64
+MMS_T_END = 1.0
+MMS_DT0 = 0.1
+MMS_AMPLITUDE = 0.2
+MMS_MODE = 4
+
+# spatial study: a Gaussian of width 2 on n = 64, 128, 256 at one shared step
+SPATIAL_T_END = 0.5
+SPATIAL_DT = 1e-2
+SPATIAL_AMPLITUDE = 0.1
+SPATIAL_WIDTH = 2.0
 
 
-def temporal_order(g, n: int = 64, length: float = 40.0, t_end: float = 1.0,
-                   dt0: float = 0.1) -> tuple:
+def temporal_order(g) -> tuple:
     """Richardson triple: successive solution differences at dt, dt/2, dt/4.
 
     The manufactured wave uses mode 4 so the per-step phase advance is large
-    enough for the O(dt^4) error to sit well above round-off.
+    enough for the O(dt^4) error to sit well above round-off.  Returns the
+    order and the L-inf errors against the exact solution.
     """
-    u1, e1 = mms_run(n, length, dt0, t_end, g, amplitude=0.2, mode=4)
-    u2, e2 = mms_run(n, length, dt0 / 2, t_end, g, amplitude=0.2, mode=4)
-    u3, e3 = mms_run(n, length, dt0 / 4, t_end, g, amplitude=0.2, mode=4)
-    d12 = sup_norm(u1 - u2)
-    d23 = sup_norm(u2 - u3)
+    grid = Grid(MMS_N, 40.0)
+    u_exact, u_exact_t = mms_solution(grid.length, MMS_AMPLITUDE, MMS_MODE)
+    forcing = manufactured_forcing(grid, g, u_exact, u_exact_t, dealias_policy="two_thirds")
+    finals, errors = [], []
+    for dt in (MMS_DT0, MMS_DT0 / 2, MMS_DT0 / 4):
+        sim = SimConfig(grid=grid, coefficients=g, t_end=MMS_T_END, dt=dt, forcing=forcing,
+                        snapshot_stride=10**9)
+        u = integrate(sim, Field(grid, u_exact(0.0, grid.x))).final()
+        finals.append(u)
+        errors.append(float(np.max(np.abs(u.values - u_exact(MMS_T_END, grid.x)))))
+    d12 = sup_norm(finals[0] - finals[1])
+    d23 = sup_norm(finals[1] - finals[2])
     order = math.log2(d12 / d23) if d23 > 0 else math.inf
-    return order, (e1, e2, e3)
+    return order, tuple(errors)
 
 
-def spatial_error_ratio(g, length: float = 40.0, t_end: float = 0.5,
-                        dt: float = 5e-4, amplitude: float = 0.1,
-                        width: float = 2.0) -> tuple:
+def spatial_error_ratio(g) -> tuple:
     """Unforced smooth Gaussian run: coarse-grid error against an n=256
     reference on shared nodes.  The profile is wide enough that everything
-    past the coarse dealias band is spectrally small."""
+    past the coarse dealias band is spectrally small.  All three grids share
+    the step, so the comparison measures the spatial error."""
     results = {}
     for n in (64, 128, 256):
-        grid = Grid(n, length)
-        u0 = Field(grid, amplitude * np.exp(-((grid.x - length / 2) ** 2) / (2 * width**2)))
-        sim = SimConfig(grid=grid, coefficients=g, t_end=t_end, dt=dt,
+        grid = Grid(n, 40.0)
+        u0 = Field(grid, SPATIAL_AMPLITUDE
+                   * np.exp(-((grid.x - grid.length / 2) ** 2) / (2 * SPATIAL_WIDTH**2)))
+        sim = SimConfig(grid=grid, coefficients=g, t_end=SPATIAL_T_END, dt=SPATIAL_DT,
                         dealias_policy="two_thirds", snapshot_stride=10**9)
-        traj = integrate(sim, u0)
-        results[n] = traj.final()
+        results[n] = integrate(sim, u0).final()
     ref = results[256]
     errors = {}
     for n in (64, 128):

@@ -1,8 +1,9 @@
 """Command-line entry point: coefficient tables, verification suites,
 simulations and convergence studies, all reproducible from (config, seed).
 
-Exit codes: 0 success, 1 check failure, 2 configuration error.  The output
-root may be overridden with the SHEARWAVES_OUTPUT_ROOT environment variable.
+Exit codes: 0 success, 1 check failure, 2 configuration error (a bad config
+field or command-line value, or an unwritable output path).  The output root
+may be overridden with the SHEARWAVES_OUTPUT_ROOT environment variable.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checks import SUITES, spatial_error_ratio, temporal_order
+from .checks import MIN_ORDER, MIN_RATIO, SUITES, spatial_error_ratio, temporal_order
 from .coeffs import (
     GeneralCoefficients,
     derived_intermediates,
@@ -42,7 +43,15 @@ DISPERSION_NOTE = ("linear phase: omega(k) = k*(c + (beta0/beta)*k^2)/(1 + k^2) 
 
 
 class ConfigError(Exception):
-    """Raised for malformed run configurations; reports the offending field."""
+    """Raised for malformed run configurations or command-line values, and for
+    unwritable output paths; reports the offending field or path."""
+
+
+def _write_text(path, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -62,35 +71,30 @@ def _parse_sweep(arg: str):
         lo, hi, count = float(lo_s), float(hi_s), int(count_s)
     except ValueError as exc:
         raise ConfigError(f"sweep must be lo:hi:count, got {arg!r}") from exc
-    if not (0 < lo < hi and count >= 2):
-        raise ConfigError(f"sweep needs 0 < lo < hi and count >= 2, got {arg!r}")
+    if not (0 < lo < hi < math.inf and count >= 2):
+        raise ConfigError(f"sweep needs 0 < lo < hi < inf and count >= 2, got {arg!r}")
     return np.geomspace(lo, hi, count)
 
 
 def cmd_coeffs(args) -> int:
     if args.sweep is not None:
-        values = _parse_sweep(args.sweep)
-        rows = []
+        header = ["A", "c", "alpha", "beta", "beta0"] + [f"omega{i}" for i in range(1, 8)] \
+            + ["z0", "identities_pass", "max_residual"]
+        lines = [",".join(header)]
         all_ok = True
-        for a in values:
-            m = model_coefficients(a)
+        for a in _parse_sweep(args.sweep):
+            d = model_coefficients(a).to_dict()
             checks = identity_suite(a)
             ok = all(c.passed for c in checks)
             all_ok &= ok
-            rows.append((a, m, ok, max(c.residual for c in checks)))
-        out = sys.stdout if args.out is None else open(args.out, "w")
-        try:
-            header = ["A", "c", "alpha", "beta", "beta0"] + [f"omega{i}" for i in range(1, 8)] \
-                + ["z0", "identities_pass", "max_residual"]
-            out.write(",".join(header) + "\n")
-            for a, m, ok, res in rows:
-                d = m.to_dict()
-                cells = [f"{d[k]:.17g}" for k in header[:-2]]
-                cells += [str(int(ok)), f"{res:.3e}"]
-                out.write(",".join(cells) + "\n")
-        finally:
-            if out is not sys.stdout:
-                out.close()
+            cells = [f"{d[k]:.17g}" for k in header[:-2]]
+            cells += [str(int(ok)), f"{max(c.residual for c in checks):.3e}"]
+            lines.append(",".join(cells))
+        text = "\n".join(lines) + "\n"
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            _write_text(args.out, text)
         if not all_ok:
             print("identity failures in sweep", file=sys.stderr)
             return 1
@@ -121,9 +125,7 @@ def cmd_coeffs(args) -> int:
             flag = "PASS" if c.passed else "FAIL"
             print(f"  {c.name.ljust(width)}  residual={c.residual:.3e}  "
                   f"tol={c.tolerance:.1e}  {flag}")
-    if not all(c.passed for c in checks):
-        return 1
-    return 0
+    return 0 if all(c.passed for c in checks) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +134,8 @@ def cmd_coeffs(args) -> int:
 
 def cmd_verify(args) -> int:
     m = model_coefficients(args.A)
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     g_override = None
     if args.inject_fault:
         g = normalize(m)
@@ -148,7 +152,7 @@ def cmd_verify(args) -> int:
         print(f"  {e['check']:<34} n={e['n']:<5} residual={e['residual']:.3e} "
               f"tol={e['tolerance']:.1e}  {flag}")
     if args.json:
-        Path(args.json).write_text(json.dumps(entries, indent=2))
+        _write_text(args.json, json.dumps(entries, indent=2))
     if not all(e["pass"] for e in entries):
         failing = [e["check"] for e in entries if not e["pass"]]
         print(f"failing checks: {', '.join(failing)}", file=sys.stderr)
@@ -160,12 +164,12 @@ def cmd_verify(args) -> int:
 # simulate command
 # ---------------------------------------------------------------------------
 
-def _require(cfg: dict, key: str, types, context="config"):
+def _require(cfg: dict, key: str, types):
     if key not in cfg:
-        raise ConfigError(f"{context}: missing field {key!r}")
+        raise ConfigError(f"config: missing field {key!r}")
     value = cfg[key]
     if not isinstance(value, types):
-        raise ConfigError(f"{context}: field {key!r} has type {type(value).__name__}")
+        raise ConfigError(f"config: field {key!r} has type {type(value).__name__}")
     return value
 
 
@@ -328,8 +332,7 @@ def output_dir(args, default_name: str) -> Path:
 
 def write_run_outputs(outdir: Path, cfg: dict, sim: SimConfig, provenance: dict,
                       traj: Trajectory, wall_time: float) -> None:
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "snapshots").mkdir(exist_ok=True)
+    """Fill the run directory that ``cmd_simulate`` created."""
     for i, snap in enumerate(traj.snapshots):
         field_to_csv(snap, outdir / "snapshots" / f"snap_{i:06d}.csv")
     field_to_csv(traj.final(), outdir / "snapshots" / "final.csv")
@@ -354,10 +357,14 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     sim, provenance = sim_config_from_dict(cfg)
     u0 = initial_condition(cfg, sim.grid)
+    outdir = output_dir(args, Path(args.config).stem)
+    try:  # before the first step, so a bad --out costs no run
+        (outdir / "snapshots").mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create run directory {outdir}: {exc}") from None
     start = time.perf_counter()
     traj = integrate(sim, u0)
     wall = time.perf_counter() - start
-    outdir = output_dir(args, Path(args.config).stem)
     write_run_outputs(outdir, cfg, sim, provenance, traj, wall)
     print(f"run complete: termination={traj.termination} records={len(traj.records)} "
           f"outdir={outdir}")
@@ -376,9 +383,9 @@ def cmd_convergence(args) -> int:
     ratio, errors = spatial_error_ratio(g)
     print(f"spatial error ratio n=64 vs n=128: {ratio:.3e}  "
           f"(errors: {errors[64]:.3e}, {errors[128]:.3e})")
-    ok = order >= args.min_order and ratio > args.min_ratio
+    ok = order >= MIN_ORDER and ratio > MIN_RATIO
     if args.json:
-        Path(args.json).write_text(json.dumps({
+        _write_text(args.json, json.dumps({
             "temporal_order": order,
             "mms_errors": errs,
             "spatial_ratio": ratio,
@@ -422,8 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convergence", help="manufactured-solution refinement study")
     p.add_argument("--A", type=float, default=1.5)
-    p.add_argument("--min-order", type=float, default=3.8)
-    p.add_argument("--min-ratio", type=float, default=1e3)
     p.add_argument("--json", help="write results JSON here")
     p.set_defaults(fn=cmd_convergence)
     return parser
@@ -433,6 +438,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not 0 <= getattr(args, "A", 0) < math.inf:
+            raise ConfigError(f"--A must be a finite vorticity >= 0, got {args.A}")
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

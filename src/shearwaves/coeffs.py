@@ -149,8 +149,15 @@ def _z0(c):
     return math.sqrt(radicand) / (6.0 * (y**2 + y + 1.0) * (y + 1.0))
 
 
+class _Record:
+    """Field-name -> value mapping shared by the coefficient dataclasses."""
+
+    def to_dict(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
 @dataclass(frozen=True)
-class ModelCoefficients:
+class ModelCoefficients(_Record):
     """Constants of the local evolution form, derived from the vorticity A."""
 
     A: float
@@ -193,12 +200,9 @@ class ModelCoefficients:
             z0=_z0(c),
         )
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 @dataclass(frozen=True)
-class GeneralCoefficients:
+class GeneralCoefficients(_Record):
     """Advection, flux and slope scalars of the nonlocal Cauchy problem.
 
     ``normalize`` fills them from a ModelCoefficients; arbitrary values are
@@ -238,9 +242,6 @@ class GeneralCoefficients:
             gamma=(2 * (m.omega5 + m.omega6) - m.omega7) / (2 * al**2 * be),
         )
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 def _half(like):
     """1/2 in the arithmetic of ``like`` (Fraction stays exact)."""
@@ -249,7 +250,7 @@ def _half(like):
 
 
 @dataclass(frozen=True)
-class DerivedIntermediates:
+class DerivedIntermediates(_Record):
     """Intermediate constants of the derivation, with the free height fixed
     at z0.
 
@@ -338,9 +339,6 @@ class DerivedIntermediates:
             gamma6_times_1_minus_nu=g6_prod,
         )
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 def model_coefficients(vorticity: float) -> ModelCoefficients:
     """All constants of the local evolution form at vorticity A >= 0."""
@@ -358,15 +356,11 @@ def normalize(m: ModelCoefficients) -> GeneralCoefficients:
 
 
 @dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(_Record):
     name: str
     residual: float
     tolerance: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "residual": self.residual,
-                "tolerance": self.tolerance, "passed": self.passed}
 
 
 def _rel(lhs: float, rhs: float) -> float:

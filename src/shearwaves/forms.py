@@ -27,7 +27,6 @@ __all__ = [
     "local_form_terms",
     "rescaled_form_terms",
     "residual_local_form",
-    "residual_rescaled_form",
     "velocity_rate_from_rescaled_form",
     "verify_form_equivalence",
     "verify_rescale",
@@ -128,15 +127,6 @@ def residual_local_form(u: Field, u_t: Field, m: ModelCoefficients, s: ScalePara
     return Field(u.grid, vals)
 
 
-def residual_rescaled_form(u: Field, u_t: Field, m: ModelCoefficients) -> Field:
-    if u_t.grid != u.grid:
-        raise ValueError("grid mismatch between u and u_t")
-    ux, uxx, uxxx = _spatial_derivatives(u)
-    utxx = derivative(derivative(u_t)).values
-    vals = rescaled_form_terms(u.values, u_t.values, ux, uxx, uxxx, utxx, m)
-    return Field(u.grid, vals)
-
-
 def velocity_rate_from_rescaled_form(u: Field, m: ModelCoefficients) -> Field:
     """u_t extracted from the rescaled form: every non-time term moved right
     and (1 - dxx)^-1 applied (exact on the grid, the operator is diagonal).
@@ -204,28 +194,16 @@ class TravelingGaussian:
 
 class ProfileSum:
     """Sum of closed-form profiles; breaks the single-characteristic
-    degeneracy of one traveling bump."""
+    degeneracy of one traveling bump.  Each of ``value``, ``dt``, ``dx``,
+    ``dxx``, ``dxxx`` and ``dtxx`` is the sum over the parts."""
 
     def __init__(self, *parts):
         self.parts = parts
 
-    def value(self, t, x):
-        return sum(p.value(t, x) for p in self.parts)
-
-    def dt(self, t, x):
-        return sum(p.dt(t, x) for p in self.parts)
-
-    def dx(self, t, x):
-        return sum(p.dx(t, x) for p in self.parts)
-
-    def dxx(self, t, x):
-        return sum(p.dxx(t, x) for p in self.parts)
-
-    def dxxx(self, t, x):
-        return sum(p.dxxx(t, x) for p in self.parts)
-
-    def dtxx(self, t, x):
-        return sum(p.dtxx(t, x) for p in self.parts)
+    def __getattr__(self, name):
+        if name not in ("value", "dt", "dx", "dxx", "dxxx", "dtxx"):
+            raise AttributeError(name)
+        return lambda t, x: sum(getattr(p, name)(t, x) for p in self.parts)
 
 
 @dataclass(frozen=True)
@@ -234,22 +212,16 @@ class RescaleReport:
     expected_factor: float
     defect: float
     factor_mismatch: float
-    tolerance: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "fitted_factor": self.fitted_factor,
-            "expected_factor": self.expected_factor,
-            "defect": self.defect,
-            "factor_mismatch": self.factor_mismatch,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+
+# sample lattice of the rescaling check and its defect/mismatch tolerance
+RESCALE_T = np.linspace(0.0, 2.0, 5)
+RESCALE_X = np.linspace(-8.0, 8.0, 161)
+RESCALE_TOL = 1e-8
 
 
-def verify_rescale(profile, s: ScaleParams, m: ModelCoefficients,
-                   t_samples=None, x_samples=None, tol: float = 1e-8) -> RescaleReport:
+def verify_rescale(profile, s: ScaleParams, m: ModelCoefficients) -> RescaleReport:
     """Check that rescaling maps the local form onto the rescaled form with a
     single chain-rule factor.
 
@@ -262,14 +234,9 @@ def verify_rescale(profile, s: ScaleParams, m: ModelCoefficients,
     factor; the report fits K from samples and measures the proportionality
     defect, which flags any transcription slip between the two forms.
     """
-    if t_samples is None:
-        t_samples = np.linspace(0.0, 2.0, 5)
-    if x_samples is None:
-        x_samples = np.linspace(-8.0, 8.0, 161)
     r = math.sqrt(m.beta * s.mu)
     amp = m.alpha * s.epsilon
-    tt, xx = np.meshgrid(np.asarray(t_samples, dtype=float),
-                         np.asarray(x_samples, dtype=float), indexing="ij")
+    tt, xx = np.meshgrid(RESCALE_T, RESCALE_X, indexing="ij")
 
     st, sx = r * tt, r * xx
     u = profile.value(st, sx)
@@ -288,12 +255,12 @@ def verify_rescale(profile, s: ScaleParams, m: ModelCoefficients,
     denom = float(np.sum(r1 * r1))
     scale2 = float(np.max(np.abs(r2)))
     if denom == 0.0 and scale2 == 0.0:
-        return RescaleReport(expected, expected, 0.0, 0.0, tol, True)
+        return RescaleReport(expected, expected, 0.0, 0.0, True)
     fitted = float(np.sum(r1 * r2) / denom) if denom > 0 else math.inf
     defect = float(np.max(np.abs(r2 - fitted * r1))) / max(scale2, 1e-300)
     mismatch = abs(fitted - expected) / abs(expected)
-    passed = bool(defect < tol and mismatch < tol)
-    return RescaleReport(fitted, expected, defect, mismatch, tol, passed)
+    passed = bool(defect < RESCALE_TOL and mismatch < RESCALE_TOL)
+    return RescaleReport(fitted, expected, defect, mismatch, passed)
 
 
 def surface_elevation_leading(u: Field, m: ModelCoefficients) -> Field:

@@ -43,7 +43,10 @@ def trig_eval(f: Field, points) -> np.ndarray:
     return (vals + extra[:, 0]).real
 
 
-def helmholtz_inverse_quadrature(f: Field, gauss_order: int = 8) -> np.ndarray:
+GAUSS_ORDER = 8  # Gauss-Legendre nodes per panel
+
+
+def helmholtz_inverse_quadrature(f: Field) -> np.ndarray:
     """Convolution with the nearest-image exponential kernel by composite
     Gauss-Legendre quadrature, one panel per grid cell.
 
@@ -53,7 +56,7 @@ def helmholtz_inverse_quadrature(f: Field, gauss_order: int = 8) -> np.ndarray:
     the accuracy floor of the nearest-image approximation.
     """
     grid = f.grid
-    nodes, weights = np.polynomial.legendre.leggauss(gauss_order)
+    nodes, weights = np.polynomial.legendre.leggauss(GAUSS_ORDER)
     # map to panels [x_m, x_m + dx]
     starts = grid.x
     half = 0.5 * grid.dx

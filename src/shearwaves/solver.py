@@ -193,17 +193,22 @@ def integrate(cfg: SimConfig, u0: Field) -> Trajectory:
     return traj
 
 
-def breaking_monitor(records, slope_growth: float = 10.0,
-                     amplitude_change: float = 0.10,
-                     superlinear_factor: float = 2.0) -> str:
+# thresholds of the breaking signature (see ``breaking_monitor``)
+SLOPE_GROWTH = 10.0
+AMPLITUDE_CHANGE = 0.10
+SUPERLINEAR_FACTOR = 2.0
+
+
+def breaking_monitor(records) -> str:
     """Classify a diagnostics series as ``breaking_signature`` or
     ``no_breaking_evidence``.
 
-    The signature requires jointly: (a) the breaking integral grows
-    superlinearly over the final fifth of recorded time, (b) min u_x fell by
-    at least ``slope_growth`` from its initial value, (c) the amplitude
-    changed by less than ``amplitude_change`` relative.  All thresholds are
-    configurable; the verdict is evidence, not a proof of blow-up.
+    The signature requires jointly: (a) the breaking integral grows at least
+    ``SUPERLINEAR_FACTOR`` times faster over the final fifth of recorded time
+    than before it, (b) min u_x fell by at least ``SLOPE_GROWTH`` from its
+    initial value, (c) the amplitude changed by less than
+    ``AMPLITUDE_CHANGE`` relative.  The verdict is evidence, not a proof of
+    blow-up.
     """
     if len(records) < 5:
         return "no_breaking_evidence"
@@ -220,18 +225,18 @@ def breaking_monitor(records, slope_growth: float = 10.0,
     g_split = head[-1].breaking_integral
     rate_head = (g_split - records[0].breaking_integral) / max(head[-1].t - t0, 1e-300)
     rate_tail = (g - tail[0].breaking_integral) / max(t_final - tail[0].t, 1e-300)
-    superlinear = rate_tail >= superlinear_factor * rate_head and rate_tail > 0
+    superlinear = rate_tail >= SUPERLINEAR_FACTOR * rate_head and rate_tail > 0
 
     base_slope = records[0].min_ux
     worst_slope = min(r.min_ux for r in records)
-    slope_blowup = base_slope < 0 and worst_slope <= slope_growth * base_slope
+    slope_blowup = base_slope < 0 and worst_slope <= SLOPE_GROWTH * base_slope
 
     base_amp = records[0].sup_u
     if base_amp > 0:
         amp_drift = max(abs(r.sup_u - base_amp) for r in records) / base_amp
     else:
         amp_drift = max(r.sup_u for r in records)
-    amplitude_bounded = amp_drift < amplitude_change
+    amplitude_bounded = amp_drift < AMPLITUDE_CHANGE
 
     if superlinear and slope_blowup and amplitude_bounded:
         return "breaking_signature"
@@ -243,10 +248,6 @@ class H1GrowthReport:
     c_fit: float
     max_log_ratio: float
     finite: bool
-
-    def to_dict(self) -> dict:
-        return {"c_fit": self.c_fit, "max_log_ratio": self.max_log_ratio,
-                "finite": self.finite}
 
 
 def h1_growth_check(records) -> H1GrowthReport:

@@ -17,6 +17,9 @@ DEALIAS_FRACTIONS = {
     "strong": 2.0 / 7.0,
 }
 
+# largest imaginary part, relative to the field, that ``Field.from_spectrum`` accepts
+IMAG_TOL = 1e-12
+
 
 class Grid:
     """Uniform sampling of the periodic interval [0, L)."""
@@ -74,11 +77,11 @@ class Field:
         self._hat = None
 
     @classmethod
-    def from_spectrum(cls, grid: Grid, hat, imag_tol: float = 1e-12) -> "Field":
+    def from_spectrum(cls, grid: Grid, hat) -> "Field":
         """Build a field from forward-normalized coefficients.
 
         The spectrum must be Hermitian-symmetric so the inverse transform is
-        real; the residual imaginary part is checked against ``imag_tol``
+        real; the residual imaginary part is checked against ``IMAG_TOL``
         relative to the field magnitude.
         """
         hat = np.asarray(hat, dtype=complex)
@@ -86,7 +89,7 @@ class Field:
             raise ValueError(f"expected {grid.n} coefficients, got shape {hat.shape}")
         samples = np.fft.ifft(hat) * grid.n
         scale = max(np.max(np.abs(samples.real)), 1.0)
-        if np.max(np.abs(samples.imag)) > imag_tol * scale:
+        if np.max(np.abs(samples.imag)) > IMAG_TOL * scale:
             raise ValueError("spectrum is not Hermitian-symmetric: inverse transform is not real")
         f = cls(grid, samples.real)
         f._hat = hat

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from shearwaves import cli
 from shearwaves.cli import main
 
 
@@ -196,6 +197,68 @@ def test_simulate_config_errors(tmp_path, capsys, mutate, message_part):
     assert run_cli("simulate", str(cfg_path), "--out", str(outdir)) == 2
     assert message_part in capsys.readouterr().err
     assert not outdir.exists()
+
+
+def _simulate_into_file(tmp_path):
+    cfg_path = tmp_path / "run.json"
+    _write_config(cfg_path)
+    (tmp_path / "taken").write_text("keep")
+    return ["simulate", str(cfg_path), "--out", str(tmp_path / "taken")]
+
+
+@pytest.mark.parametrize("argv, message_part", [
+    pytest.param(lambda d: ["coeffs", "--A", "-1"],
+                 "--A must be a finite vorticity >= 0, got -1.0", id="coeffs-A-negative"),
+    pytest.param(lambda d: ["coeffs", "--A", "nan"],
+                 "--A must be a finite vorticity >= 0, got nan", id="coeffs-A-nan"),
+    pytest.param(lambda d: ["verify", "--A", "-1"], "--A must be", id="verify-A-negative"),
+    pytest.param(lambda d: ["verify", "--A", "nan"], "--A must be", id="verify-A-nan"),
+    pytest.param(lambda d: ["convergence", "--A", "-1"], "--A must be",
+                 id="convergence-A-negative"),
+    pytest.param(lambda d: ["convergence", "--A", "nan"], "--A must be", id="convergence-A-nan"),
+    pytest.param(lambda d: ["verify", "--seed", "-1"], "--seed must be >= 0, got -1",
+                 id="verify-seed-negative"),
+    pytest.param(lambda d: ["coeffs", "--sweep", "1:inf:3"], "sweep needs 0 < lo < hi < inf",
+                 id="coeffs-sweep-inf"),
+    # unwritable output paths: a directory where a file goes, a file where
+    # the run directory goes
+    pytest.param(lambda d: ["coeffs", "--sweep", "1:2:3", "--out", str(d)], "cannot write",
+                 id="coeffs-out-directory"),
+    pytest.param(lambda d: ["verify", "--only", "rescale", "--json", str(d)], "cannot write",
+                 id="verify-json-directory"),
+    pytest.param(lambda d: ["convergence", "--json", str(d)], "cannot write",
+                 id="convergence-json-directory"),
+    pytest.param(_simulate_into_file, "cannot create run directory", id="simulate-out-file"),
+])
+def test_bad_command_line_input(tmp_path, capsys, monkeypatch, argv, message_part):
+    def no_steps(*args):
+        raise AssertionError("simulate stepped despite a bad --out")
+
+    monkeypatch.setattr(cli, "integrate", no_steps)
+    assert run_cli(*argv(tmp_path)) == 2
+    assert message_part in capsys.readouterr().err
+    if (tmp_path / "taken").exists():
+        assert (tmp_path / "taken").read_text() == "keep"
+
+
+@pytest.mark.parametrize("order, ratio, code", [
+    (3.79, 2e3, 1),
+    (3.9, 1e3, 1),
+    (3.8, 1e3 * (1 + 1e-12), 0),
+])
+def test_convergence_gate(tmp_path, monkeypatch, order, ratio, code):
+    monkeypatch.setattr(cli, "temporal_order", lambda g: (order, (0.0, 0.0, 0.0)))
+    monkeypatch.setattr(cli, "spatial_error_ratio", lambda g: (ratio, {64: 0.0, 128: 0.0}))
+    report = tmp_path / "conv.json"
+    assert run_cli("convergence", "--json", str(report)) == code
+    assert json.loads(report.read_text())["pass"] is (code == 0)
+
+
+def test_convergence_gate_has_no_flags(capsys):
+    for flag in ("--min-order", "--min-ratio"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("convergence", flag, "0")
+        assert exc.value.code == 2
 
 
 def test_simulate_malformed_json(tmp_path, capsys):
