@@ -54,6 +54,17 @@ def _write_text(path, text: str) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
+def _check_writable(path) -> None:
+    """Fail before any check runs if ``path`` cannot take a file: it must not
+    be a directory, and its parent must be an existing, writable directory."""
+    target = Path(path)
+    if target.is_dir():
+        raise ConfigError(f"cannot write {path}: it is a directory")
+    parent = target.resolve().parent
+    if not (parent.is_dir() and os.access(parent, os.W_OK)):
+        raise ConfigError(f"cannot write {path}: {parent} is not a writable directory")
+
+
 # ---------------------------------------------------------------------------
 # coeffs command
 # ---------------------------------------------------------------------------
@@ -145,6 +156,8 @@ def cmd_verify(args) -> int:
         g_override = perturbed(g, args.inject_fault)
     if args.only is not None and args.only not in SUITES:
         raise ConfigError(f"unknown suite {args.only!r}; options: {sorted(SUITES)}")
+    if args.json:
+        _check_writable(args.json)
     names = list(SUITES) if args.only is None else [args.only]
     entries = [e for name in names for e in SUITES[name](args.seed, m, g_override)]
     for e in entries:
@@ -360,6 +373,8 @@ def cmd_simulate(args) -> int:
     outdir = output_dir(args, Path(args.config).stem)
     try:  # before the first step, so a bad --out costs no run
         (outdir / "snapshots").mkdir(parents=True, exist_ok=True)
+        for stale in (outdir / "snapshots").glob("snap_*.csv"):  # left by an earlier run
+            stale.unlink()
     except OSError as exc:
         raise ConfigError(f"cannot create run directory {outdir}: {exc}") from None
     start = time.perf_counter()
@@ -376,6 +391,8 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_convergence(args) -> int:
+    if args.json:
+        _check_writable(args.json)
     g = normalize(model_coefficients(args.A))
     order, errs = temporal_order(g)
     print(f"temporal Richardson order: {order:.3f}  (mms errors: "

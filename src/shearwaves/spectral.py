@@ -7,6 +7,8 @@ in numpy's fft ordering.
 """
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 # Dealiasing cutoffs as fractions of the Nyquist wavenumber.  two_thirds is the
@@ -52,6 +54,12 @@ class Grid:
         except KeyError:
             raise ValueError(f"unknown dealias policy {policy!r}; "
                              f"options: {sorted(DEALIAS_FRACTIONS)}") from None
+
+    @cached_property
+    def csv_template(self) -> str:
+        """Snapshot file text with the x column filled in and one ``%.17g``
+        slot per node for u; built on the first snapshot written."""
+        return "x,u\n" + "".join(f"{x:.17g},%.17g\n" for x in self.x.tolist())
 
     def __eq__(self, other):
         return isinstance(other, Grid) and self.n == other.n and self.length == other.length
@@ -209,11 +217,13 @@ def trig_field(grid: Grid, cos_coeffs, sin_coeffs, amplitude: float | None = Non
 
 
 def field_to_csv(f: Field, path) -> None:
-    """Write snapshot rows x,u(x) with 17 significant digits."""
+    """Write snapshot rows x,u(x) with 17 significant digits.
+
+    One ``%`` format of the grid's cached ``csv_template`` and one write; the
+    bytes equal a per-row ``f"{x:.17g},{u:.17g}\\n"`` under an ``x,u`` header.
+    """
     with open(path, "w") as fh:
-        fh.write("x,u\n")
-        for x, u in zip(f.grid.x, f.values):
-            fh.write(f"{x:.17g},{u:.17g}\n")
+        fh.write(f.grid.csv_template % tuple(f.values.tolist()))
 
 
 def field_from_csv(grid: Grid, path) -> Field:

@@ -112,6 +112,19 @@ def test_simulate_run_directory(tmp_path, capsys):
     assert header == "t,sup_u,min_ux,max_ux,h1,hs,breaking_integral,ch_energy"
 
 
+def test_simulate_rerun_clears_stale_snapshots(tmp_path):
+    cfg_path = tmp_path / "run.json"
+    outdir = tmp_path / "out"
+    for stride in (1, 5):
+        _write_config(cfg_path, n=64, t_end=0.02, snapshot_stride=stride)
+        assert run_cli("simulate", str(cfg_path), "--out", str(outdir)) == 0
+        (outdir / "snapshots" / "notes.txt").write_text("keep")  # not a snapshot: survives
+    records = json.loads((outdir / "manifest.json").read_text())["records"]
+    snapshots = list((outdir / "snapshots").glob("*.csv"))
+    assert len(snapshots) == records + 1  # snap_*.csv of this run and final.csv
+    assert (outdir / "snapshots" / "notes.txt").read_text() == "keep"
+
+
 def test_simulate_zero_initial_data(tmp_path):
     cfg_path = tmp_path / "zero.json"
     _write_config(cfg_path, initial="zero")
@@ -231,10 +244,12 @@ def _simulate_into_file(tmp_path):
     pytest.param(_simulate_into_file, "cannot create run directory", id="simulate-out-file"),
 ])
 def test_bad_command_line_input(tmp_path, capsys, monkeypatch, argv, message_part):
-    def no_steps(*args):
-        raise AssertionError("simulate stepped despite a bad --out")
+    def no_work(*args):
+        raise AssertionError("work started despite a bad output path")
 
-    monkeypatch.setattr(cli, "integrate", no_steps)
+    monkeypatch.setattr(cli, "integrate", no_work)
+    monkeypatch.setattr(cli, "temporal_order", no_work)
+    monkeypatch.setitem(cli.SUITES, "rescale", no_work)
     assert run_cli(*argv(tmp_path)) == 2
     assert message_part in capsys.readouterr().err
     if (tmp_path / "taken").exists():

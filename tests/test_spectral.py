@@ -231,4 +231,18 @@ def test_csv_roundtrip(tmp_path, grid):
     first = path.read_text().splitlines()
     assert first[0] == "x,u"
     back = field_from_csv(grid, path)
-    assert np.max(np.abs(back.values - f.values)) < 1e-15
+    assert np.array_equal(back.values, f.values)  # 17 significant digits round-trip exactly
+
+
+@pytest.mark.parametrize("n", [16, 4096])
+def test_csv_bytes_match_per_row_format(tmp_path, n):
+    special = [0.0, -0.0, 5e-324, 1e-310, 1.7976931348623157e308,
+               -1.7976931348623157e308, math.nan, math.inf, -math.inf]
+    grid = Grid(n, 40.0)
+    values = np.random.default_rng(n).standard_normal(n)
+    values[:len(special)] = special
+    path = tmp_path / "snap.csv"
+    for f in (Field(grid, values), Field(grid, -values[::-1])):  # second write reuses the template
+        field_to_csv(f, path)
+        oracle = "x,u\n" + "".join(f"{x:.17g},{u:.17g}\n" for x, u in zip(grid.x, f.values))
+        assert path.read_bytes() == oracle.encode()
