@@ -28,6 +28,7 @@ from .coeffs import (
 )
 from .solver import SimConfig, Trajectory, breaking_monitor, integrate
 from .spectral import (
+    DEALIAS_FRACTIONS,
     Field,
     Grid,
     field_to_csv,
@@ -52,6 +53,19 @@ def _write_text(path, text: str) -> None:
         Path(path).write_text(text)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from None
+
+
+def vorticity_coefficients(a: float, name: str) -> GeneralCoefficients:
+    """Nonlocal-form constants of ``a``; ConfigError if a < 0, not finite, or one overflows."""
+    if not 0 <= a < math.inf:
+        raise ConfigError(f"{name} must be a finite vorticity >= 0, got {a}")
+    try:
+        g = normalize(model_coefficients(a))
+    except OverflowError:
+        g = None
+    if g is None or not all(map(math.isfinite, g.to_dict().values())):
+        raise ConfigError(f"{name} = {a!r} is too large: the model coefficients overflow")
+    return g
 
 
 def _check_writable(path) -> None:
@@ -84,10 +98,12 @@ def _parse_sweep(arg: str):
         raise ConfigError(f"sweep must be lo:hi:count, got {arg!r}") from exc
     if not (0 < lo < hi < math.inf and count >= 2):
         raise ConfigError(f"sweep needs 0 < lo < hi < inf and count >= 2, got {arg!r}")
+    vorticity_coefficients(hi, "--sweep hi")  # the constants grow with A
     return np.geomspace(lo, hi, count)
 
 
 def cmd_coeffs(args) -> int:
+    g = vorticity_coefficients(args.A, "--A")
     if args.sweep is not None:
         header = ["A", "c", "alpha", "beta", "beta0"] + [f"omega{i}" for i in range(1, 8)] \
             + ["z0", "identities_pass", "max_residual"]
@@ -114,7 +130,6 @@ def cmd_coeffs(args) -> int:
     a = args.A
     m = model_coefficients(a)
     d = derived_intermediates(a)
-    g = normalize(m)
     checks = identity_suite(a)
     if args.json:
         payload = {
@@ -144,12 +159,12 @@ def cmd_coeffs(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    g = vorticity_coefficients(args.A, "--A")
     m = model_coefficients(args.A)
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     g_override = None
     if args.inject_fault:
-        g = normalize(m)
         if not hasattr(g, args.inject_fault):
             raise ConfigError(f"unknown coefficient for fault injection: {args.inject_fault!r}; "
                               f"options: {sorted(g.to_dict())}")
@@ -252,9 +267,7 @@ def coefficients_from_config(cfg: dict):
         raise ConfigError("config: exactly one of 'vorticity' / 'coefficients' required")
     if has_a:
         a = _number(cfg, "vorticity")
-        if a < 0:
-            raise ConfigError("config: field 'vorticity' must be >= 0")
-        return normalize(model_coefficients(a)), {"vorticity": a}
+        return vorticity_coefficients(a, "config: field 'vorticity'"), {"vorticity": a}
     raw = _require(cfg, "coefficients", dict)
     names = [f.name for f in GeneralCoefficients.__dataclass_fields__.values()]  # type: ignore[attr-defined]
     unknown = sorted(set(raw) - set(names))
@@ -294,8 +307,8 @@ def sim_config_from_dict(cfg: dict):
         raise ConfigError(f"config: {exc}")
     g, provenance = coefficients_from_config(cfg)
     policy = cfg.get("dealias", "two_thirds")
-    if policy is not None and policy not in ("two_thirds", "strong"):
-        raise ConfigError(f"config: field 'dealias' must be two_thirds|strong|null, got {policy!r}")
+    if policy is not None and not (isinstance(policy, str) and policy in DEALIAS_FRACTIONS):
+        raise ConfigError(f"config: field 'dealias' must be {'|'.join(DEALIAS_FRACTIONS)}|null, got {policy!r}")
     try:
         sim = SimConfig(
             grid=grid,
@@ -391,9 +404,9 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_convergence(args) -> int:
+    g = vorticity_coefficients(args.A, "--A")
     if args.json:
         _check_writable(args.json)
-    g = normalize(model_coefficients(args.A))
     order, errs = temporal_order(g)
     print(f"temporal Richardson order: {order:.3f}  (mms errors: "
           + ", ".join(f"{e:.3e}" for e in errs) + ")")
@@ -455,8 +468,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if not 0 <= getattr(args, "A", 0) < math.inf:
-            raise ConfigError(f"--A must be a finite vorticity >= 0, got {args.A}")
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

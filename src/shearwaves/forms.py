@@ -33,7 +33,6 @@ __all__ = [
     "RescaleReport",
     "TravelingGaussian",
     "ProfileSum",
-    "surface_elevation_leading",
 ]
 
 
@@ -262,12 +261,3 @@ def verify_rescale(profile, s: ScaleParams, m: ModelCoefficients) -> RescaleRepo
     passed = bool(defect < RESCALE_TOL and mismatch < RESCALE_TOL)
     return RescaleReport(fitted, expected, defect, mismatch, passed)
 
-
-def surface_elevation_leading(u: Field, m: ModelCoefficients) -> Field:
-    """Leading-order surface elevation u/(c - A) = c*u.
-
-    First-order accurate in the amplitude parameter only: the quadratic and
-    higher reconstruction coefficients are not available in closed form, so
-    no higher-order correction is attempted.
-    """
-    return Field(u.grid, m.c * u.values)

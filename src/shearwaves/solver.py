@@ -13,7 +13,6 @@ can only ever exhibit the signature, not prove blow-up.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -29,8 +28,6 @@ __all__ = [
     "step_rk4",
     "integrate",
     "breaking_monitor",
-    "h1_growth_check",
-    "H1GrowthReport",
     "manufactured_forcing",
     "DIAGNOSTICS_HEADER",
 ]
@@ -46,7 +43,7 @@ class SimConfig:
     step recomputed from the advection speed) must be set.  ``forcing`` is an
     optional callable (t, x_array) -> array added to the right-hand side,
     used by the manufactured-solution harness.  ``breaking_stop`` stops the
-    run once min u_x falls to or below the given (negative) value.
+    run once min u_x falls to or below the given value (< 0; min u_x <= 0 always).
     """
 
     grid: Grid
@@ -71,6 +68,8 @@ class SimConfig:
             raise ValueError(f"t_end must be positive, got {self.t_end}")
         if self.snapshot_stride < 1:
             raise ValueError(f"snapshot_stride must be >= 1, got {self.snapshot_stride}")
+        if self.breaking_stop is not None and not self.breaking_stop < 0:
+            raise ValueError(f"breaking_stop must be negative, got {self.breaking_stop}")
 
 
 @dataclass(frozen=True)
@@ -164,7 +163,7 @@ def integrate(cfg: SimConfig, u0: Field) -> Trajectory:
         prev = traj.records[-1] if traj.records else None
         rec = _diagnose(state, time, cfg.sobolev_s, prev)
         traj.records.append(rec)
-        traj.snapshots.append(state.copy())
+        traj.snapshots.append(Field(state.grid, state.values))  # without the cached spectrum
         return rec
 
     rec = record(u, t)
@@ -241,36 +240,6 @@ def breaking_monitor(records) -> str:
     if superlinear and slope_blowup and amplitude_bounded:
         return "breaking_signature"
     return "no_breaking_evidence"
-
-
-@dataclass(frozen=True)
-class H1GrowthReport:
-    c_fit: float
-    max_log_ratio: float
-    finite: bool
-
-
-def h1_growth_check(records) -> H1GrowthReport:
-    """Smallest C >= 0 with log(h1(t)/h1(0)) <= C * breaking_integral(t) for
-    every recorded t (the testable content of the exponential H1 bound)."""
-    if not records:
-        return H1GrowthReport(0.0, 0.0, True)
-    h0 = records[0].h1
-    c_fit = 0.0
-    max_log = 0.0
-    tiny = 1e-300
-    for rec in records[1:]:
-        if h0 <= tiny:
-            if rec.h1 > 1e-14:
-                return H1GrowthReport(math.inf, math.inf, False)
-            continue
-        log_ratio = math.log(rec.h1 / h0) if rec.h1 > tiny else 0.0
-        max_log = max(max_log, log_ratio)
-        if log_ratio > 0:
-            if rec.breaking_integral <= tiny:
-                return H1GrowthReport(math.inf, log_ratio, False)
-            c_fit = max(c_fit, log_ratio / rec.breaking_integral)
-    return H1GrowthReport(c_fit, max_log, math.isfinite(c_fit))
 
 
 def manufactured_forcing(grid: Grid, g: GeneralCoefficients, u_exact, u_exact_t,

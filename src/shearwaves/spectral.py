@@ -19,9 +19,6 @@ DEALIAS_FRACTIONS = {
     "strong": 2.0 / 7.0,
 }
 
-# largest imaginary part, relative to the field, that ``Field.from_spectrum`` accepts
-IMAG_TOL = 1e-12
-
 
 class Grid:
     """Uniform sampling of the periodic interval [0, L)."""
@@ -84,33 +81,11 @@ class Field:
         self.values = values
         self._hat = None
 
-    @classmethod
-    def from_spectrum(cls, grid: Grid, hat) -> "Field":
-        """Build a field from forward-normalized coefficients.
-
-        The spectrum must be Hermitian-symmetric so the inverse transform is
-        real; the residual imaginary part is checked against ``IMAG_TOL``
-        relative to the field magnitude.
-        """
-        hat = np.asarray(hat, dtype=complex)
-        if hat.shape != (grid.n,):
-            raise ValueError(f"expected {grid.n} coefficients, got shape {hat.shape}")
-        samples = np.fft.ifft(hat) * grid.n
-        scale = max(np.max(np.abs(samples.real)), 1.0)
-        if np.max(np.abs(samples.imag)) > IMAG_TOL * scale:
-            raise ValueError("spectrum is not Hermitian-symmetric: inverse transform is not real")
-        f = cls(grid, samples.real)
-        f._hat = hat
-        return f
-
     @property
     def hat(self) -> np.ndarray:
         if self._hat is None:
             self._hat = np.fft.fft(self.values) / self.grid.n
         return self._hat
-
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
 
     # value-like arithmetic, enough for time stepping
     def __add__(self, other):
@@ -164,16 +139,8 @@ def dealias(f: Field, policy: str | None = "two_thirds") -> Field:
     return _apply_multiplier(f, f.grid.dealias_mask(policy))
 
 
-def mean(f: Field) -> float:
-    return float(np.mean(f.values))
-
-
 def sup_norm(f: Field) -> float:
     return float(np.max(np.abs(f.values)))
-
-
-def l2_norm(f: Field) -> float:
-    return float(np.sqrt(f.grid.dx * np.sum(f.values**2)))
 
 
 def sobolev_norm(f: Field, s: float) -> float:
@@ -225,9 +192,3 @@ def field_to_csv(f: Field, path) -> None:
     with open(path, "w") as fh:
         fh.write(f.grid.csv_template % tuple(f.values.tolist()))
 
-
-def field_from_csv(grid: Grid, path) -> Field:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    if data.shape[0] != grid.n:
-        raise ValueError(f"snapshot has {data.shape[0]} rows, grid expects {grid.n}")
-    return Field(grid, data[:, 1])

@@ -200,6 +200,17 @@ def test_simulate_breaking_flag_in_manifest(tmp_path):
      "'max_mode' must lie in [1, n/2) = [1, 64), got 0"),
     (lambda c: c.update(width=0), "'width' must be > 0, got 0.0"),
     (lambda c: c.update(initial="gaussian", width=-1.5), "'width' must be > 0, got -1.5"),
+    # min u_x <= 0 always, so a stop >= 0 would end the run at its first record
+    pytest.param(lambda c: c.update(breaking_stop=0.0), "breaking_stop must be negative, got 0.0",
+                 id="breaking_stop-zero"),
+    # constants that overflow: 1e20 overflows inside model_coefficients, 1e300 gives c = inf
+    pytest.param(lambda c: c.update(vorticity=1e20), "vorticity' = 1e+20 is too large",
+                 id="vorticity-overflow"),
+    pytest.param(lambda c: c.update(vorticity=1e300), "vorticity' = 1e+300 is too large",
+                 id="vorticity-overflow-inf"),
+    pytest.param(lambda c: c.update(dealias=["two_thirds"]),
+                 "'dealias' must be two_thirds|strong|null, got ['two_thirds']",
+                 id="dealias-unhashable"),
 ])
 def test_simulate_config_errors(tmp_path, capsys, mutate, message_part):
     cfg_path = tmp_path / "bad.json"
@@ -233,6 +244,15 @@ def _simulate_into_file(tmp_path):
                  id="verify-seed-negative"),
     pytest.param(lambda d: ["coeffs", "--sweep", "1:inf:3"], "sweep needs 0 < lo < hi < inf",
                  id="coeffs-sweep-inf"),
+    # finite vorticities whose model coefficients overflow (A above about 7e12)
+    pytest.param(lambda d: ["coeffs", "--A", "1e20"], "--A = 1e+20 is too large",
+                 id="coeffs-A-overflow"),
+    pytest.param(lambda d: ["verify", "--A", "1e13", "--only", "rescale"],
+                 "--A = 10000000000000.0 is too large", id="verify-A-overflow"),
+    pytest.param(lambda d: ["convergence", "--A", "1e20"], "--A = 1e+20 is too large",
+                 id="convergence-A-overflow"),
+    pytest.param(lambda d: ["coeffs", "--sweep", "1:1e20:3"], "--sweep hi = 1e+20 is too large",
+                 id="coeffs-sweep-overflow"),
     # unwritable output paths: a directory where a file goes, a file where
     # the run directory goes
     pytest.param(lambda d: ["coeffs", "--sweep", "1:2:3", "--out", str(d)], "cannot write",
