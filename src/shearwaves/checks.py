@@ -10,6 +10,7 @@ study behind ``convergence`` lives here as well: ``temporal_order`` and
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -169,6 +170,16 @@ SPATIAL_AMPLITUDE = 0.1
 SPATIAL_WIDTH = 2.0
 
 
+def _final_state(sim: SimConfig, u0: Field, run: str) -> Field:
+    """Final state of a study run; a run that does not complete is named on
+    stderr and yields NaN samples, so its study's value is NaN and fails."""
+    traj = integrate(sim, u0)
+    if traj.termination == "completed":
+        return traj.final()
+    print(f"{run} ended {traj.termination}", file=sys.stderr)
+    return Field(sim.grid, np.full(sim.grid.n, np.nan))
+
+
 def temporal_order(g) -> tuple:
     """Richardson triple: successive solution differences at dt, dt/2, dt/4.
 
@@ -183,12 +194,13 @@ def temporal_order(g) -> tuple:
     for dt in (MMS_DT0, MMS_DT0 / 2, MMS_DT0 / 4):
         sim = SimConfig(grid=grid, coefficients=g, t_end=MMS_T_END, dt=dt, forcing=forcing,
                         snapshot_stride=10**9)
-        u = integrate(sim, Field(grid, u_exact(0.0, grid.x))).final()
+        u = _final_state(sim, Field(grid, u_exact(0.0, grid.x)),
+                         f"temporal study: run at dt = {dt:g}")
         finals.append(u)
         errors.append(float(np.max(np.abs(u.values - u_exact(MMS_T_END, grid.x)))))
     d12 = sup_norm(finals[0] - finals[1])
     d23 = sup_norm(finals[1] - finals[2])
-    order = math.log2(d12 / d23) if d23 > 0 else math.inf
+    order = math.inf if d23 == 0 else math.log2(d12 / d23)
     return order, tuple(errors)
 
 
@@ -204,7 +216,7 @@ def spatial_error_ratio(g) -> tuple:
                    * np.exp(-((grid.x - grid.length / 2) ** 2) / (2 * SPATIAL_WIDTH**2)))
         sim = SimConfig(grid=grid, coefficients=g, t_end=SPATIAL_T_END, dt=SPATIAL_DT,
                         dealias_policy="two_thirds", snapshot_stride=10**9)
-        results[n] = integrate(sim, u0).final()
+        results[n] = _final_state(sim, u0, f"spatial study: run at n = {n}")
     ref = results[256]
     errors = {}
     for n in (64, 128):

@@ -32,10 +32,10 @@ def _wrap_half(z, length):
 def trig_eval(f: Field, points) -> np.ndarray:
     """Evaluate the band-limited interpolant of f at arbitrary points."""
     grid = f.grid
-    hat = f.hat.copy()
+    hat = f.hat
     # split the Nyquist coefficient between +/- n/2 so the interpolant is real
     ny = grid.nyquist_index
-    k = grid.k.copy()
+    k = grid.k
     phases = np.exp(1j * np.outer(np.asarray(points, dtype=float), k))
     vals = phases @ hat
     extra = hat[ny] * 0.5 * (np.exp(1j * np.outer(points, [-k[ny]])) -

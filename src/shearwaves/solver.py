@@ -103,10 +103,10 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
 
-def _rate(u: Field, t: float, g: GeneralCoefficients, forcing, policy) -> Field:
-    out = rhs_nonlocal(u, g, policy)
+def _rate(u: Field, t: float, g: GeneralCoefficients, forcing, policy) -> np.ndarray:
+    out = rhs_nonlocal(u, g, policy).values
     if forcing is not None:
-        out = Field(u.grid, out.values + forcing(t, u.grid.x))
+        out = out + forcing(t, u.grid.x)
     return out
 
 
@@ -115,11 +115,10 @@ def step_rk4(u: Field, dt: float, g: GeneralCoefficients, forcing=None,
     """One classical Runge-Kutta step; negative dt integrates backwards."""
     half = 0.5 * dt
     k1 = _rate(u, t, g, forcing, dealias_policy)
-    k2 = _rate(u + half * k1, t + half, g, forcing, dealias_policy)
-    k3 = _rate(u + half * k2, t + half, g, forcing, dealias_policy)
-    k4 = _rate(u + dt * k3, t + dt, g, forcing, dealias_policy)
-    out = Field(u.grid, u.values + (dt / 6.0) * (k1.values + 2.0 * k2.values
-                                                 + 2.0 * k3.values + k4.values))
+    k2 = _rate(Field(u.grid, u.values + half * k1), t + half, g, forcing, dealias_policy)
+    k3 = _rate(Field(u.grid, u.values + half * k2), t + half, g, forcing, dealias_policy)
+    k4 = _rate(Field(u.grid, u.values + dt * k3), t + dt, g, forcing, dealias_policy)
+    out = Field(u.grid, u.values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
     if dealias_policy is not None:
         out = dealias(out, dealias_policy)
     return out
@@ -163,7 +162,7 @@ def integrate(cfg: SimConfig, u0: Field) -> Trajectory:
         prev = traj.records[-1] if traj.records else None
         rec = _diagnose(state, time, cfg.sobolev_s, prev)
         traj.records.append(rec)
-        traj.snapshots.append(Field(state.grid, state.values))  # without the cached spectrum
+        traj.snapshots.append(state)
         return rec
 
     rec = record(u, t)

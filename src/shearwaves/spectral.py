@@ -3,13 +3,18 @@
 The operators apply half-spectrum (``rfft``) multipliers cached on ``Grid``.
 ``Field.hat`` stays the full forward transform divided by n (pinned, tests
 rely on it): ``f.hat[j]`` is the coefficient of exp(i*k_j*x), with ``Grid.k``
-in numpy's fft ordering.
+in numpy's fft ordering.  hat is computed on each access; a Field holds no
+derived state.
 """
 from __future__ import annotations
 
 from functools import cached_property
 
 import numpy as np
+
+__all__ = ["DEALIAS_FRACTIONS", "Grid", "Field", "derivative", "helmholtz_inverse",
+           "helmholtz_inverse_dx", "dealias", "sup_norm", "sobolev_norm",
+           "random_mode_coefficients", "trig_field", "field_to_csv"]
 
 # Dealiasing cutoffs as fractions of the Nyquist wavenumber.  two_thirds is the
 # classic rule for quadratic products; "strong" keeps |j| <= n/(p+1) with p = 6,
@@ -69,9 +74,10 @@ class Grid:
 
 
 class Field:
-    """Real function sampled on a Grid, with lazily maintained spectrum."""
+    """Real function sampled on a Grid.  hat is computed on each access; a
+    Field holds no derived state."""
 
-    __slots__ = ("grid", "values", "_hat")
+    __slots__ = ("grid", "values")
 
     def __init__(self, grid: Grid, values):
         values = np.asarray(values, dtype=float)
@@ -79,21 +85,10 @@ class Field:
             raise ValueError(f"expected {grid.n} samples, got shape {values.shape}")
         self.grid = grid
         self.values = values
-        self._hat = None
 
     @property
     def hat(self) -> np.ndarray:
-        if self._hat is None:
-            self._hat = np.fft.fft(self.values) / self.grid.n
-        return self._hat
-
-    # value-like arithmetic, enough for time stepping
-    def __add__(self, other):
-        if isinstance(other, Field):
-            if other.grid != self.grid:
-                raise ValueError("grid mismatch")
-            return Field(self.grid, self.values + other.values)
-        return NotImplemented
+        return np.fft.fft(self.values) / self.grid.n
 
     def __sub__(self, other):
         if isinstance(other, Field):
@@ -101,13 +96,6 @@ class Field:
                 raise ValueError("grid mismatch")
             return Field(self.grid, self.values - other.values)
         return NotImplemented
-
-    def __mul__(self, scalar):
-        if np.isscalar(scalar):
-            return Field(self.grid, self.values * scalar)
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def __repr__(self):
         return f"Field({self.grid!r}, max|u|={np.max(np.abs(self.values)):.3e})"

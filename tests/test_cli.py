@@ -1,6 +1,7 @@
 """Command-line interface: tables, verification suites, runs, reproducibility."""
 import json
 
+import numpy as np
 import pytest
 
 from shearwaves import cli
@@ -287,6 +288,19 @@ def test_convergence_gate(tmp_path, monkeypatch, order, ratio, code):
     report = tmp_path / "conv.json"
     assert run_cli("convergence", "--json", str(report)) == code
     assert json.loads(report.read_text())["pass"] is (code == 0)
+
+
+def test_convergence_fails_when_a_run_does_not_complete(tmp_path, capsys):
+    # the right-hand side overflows at A = 1e12, so every study run ends nonfinite
+    report = tmp_path / "conv.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run_cli("convergence", "--A", "1e12", "--json", str(report)) == 1
+    payload = json.loads(report.read_text())
+    assert payload["pass"] is False
+    assert np.isnan(payload["temporal_order"]) and np.isnan(payload["spatial_ratio"])
+    err = capsys.readouterr().err
+    assert "temporal study: run at dt = 0.1 ended nonfinite" in err
+    assert "spatial study: run at n = 64 ended nonfinite" in err
 
 
 def test_convergence_gate_has_no_flags(capsys):

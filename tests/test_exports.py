@@ -10,7 +10,7 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(shearwaves.__path__)
 
 
 def test_modules_found():
-    assert {"besov", "checks", "coeffs", "forms", "oracles", "solver"} <= set(MODULES)
+    assert {"besov", "checks", "coeffs", "forms", "oracles", "solver", "spectral"} <= set(MODULES)
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -57,6 +57,8 @@ def test_spectrum_roundtrip(grid):
     f = Field(grid, rng.standard_normal(grid.n))
     back = np.fft.ifft(f.hat) * grid.n  # f.hat is the forward transform divided by n
     assert np.max(np.abs(back - f.values)) < 1e-13
+    f.values[:] = rng.standard_normal(grid.n)  # the spectrum follows in-place writes
+    assert np.array_equal(f.hat, np.fft.fft(f.values) / grid.n)
 
 
 def test_derivative_constant_is_zero(grid):
