@@ -68,6 +68,24 @@ def vorticity_coefficients(a: float, name: str) -> GeneralCoefficients:
     return g
 
 
+def _null_nonfinite(value):
+    """``value`` with every non-finite float replaced by None, in nested
+    dicts, lists and tuples."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _null_nonfinite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_null_nonfinite(item) for item in value]
+    return value
+
+
+def _strict_json(payload) -> str:
+    """Report text that strict JSON parsers accept: a non-finite float (a
+    failed study's NaN, an unbounded tolerance) is written as null."""
+    return json.dumps(_null_nonfinite(payload), indent=2, allow_nan=False)
+
+
 def _check_writable(path) -> None:
     """Fail before any check runs if ``path`` cannot take a file: it must not
     be a directory, and its parent must be an existing, writable directory."""
@@ -180,7 +198,7 @@ def cmd_verify(args) -> int:
         print(f"  {e['check']:<34} n={e['n']:<5} residual={e['residual']:.3e} "
               f"tol={e['tolerance']:.1e}  {flag}")
     if args.json:
-        _write_text(args.json, json.dumps(entries, indent=2))
+        _write_text(args.json, _strict_json(entries))
     if not all(e["pass"] for e in entries):
         failing = [e["check"] for e in entries if not e["pass"]]
         print(f"failing checks: {', '.join(failing)}", file=sys.stderr)
@@ -415,13 +433,13 @@ def cmd_convergence(args) -> int:
           f"(errors: {errors[64]:.3e}, {errors[128]:.3e})")
     ok = order >= MIN_ORDER and ratio > MIN_RATIO
     if args.json:
-        _write_text(args.json, json.dumps({
+        _write_text(args.json, _strict_json({
             "temporal_order": order,
             "mms_errors": errs,
             "spatial_ratio": ratio,
             "spatial_errors": errors,
             "pass": ok,
-        }, indent=2))
+        }))
     return 0 if ok else 1
 
 

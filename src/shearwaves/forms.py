@@ -5,7 +5,8 @@
 * rescaled form: the same equation after u -> alpha*eps*u(sqrt(beta*mu) t,
   sqrt(beta*mu) x), which removes epsilon and mu;
 * nonlocal form: the rescaled equation with (1 - dxx)^-1 applied, the one the
-  time integrator advances.
+  time integrator advances.  Its rate is one half-spectrum kernel,
+  ``rate_hat``, which both ``rhs_nonlocal`` and the time step call.
 
 The pointwise residual cores (`local_form_terms`, `rescaled_form_terms`) are
 shared between the spectral wrappers and the analytic-derivative checks so
@@ -19,10 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import GeneralCoefficients, ModelCoefficients, normalize
-from .spectral import Field, derivative, helmholtz_inverse, sup_norm
+from .spectral import Field, Grid, derivative, helmholtz_inverse, sup_norm
 
 __all__ = [
     "ScaleParams",
+    "rate_hat",
     "rhs_nonlocal",
     "local_form_terms",
     "rescaled_form_terms",
@@ -50,22 +52,19 @@ class ScaleParams:
                 raise ValueError(f"{name} must be positive and finite, got {v!r}")
 
 
-def rhs_nonlocal(u: Field, g: GeneralCoefficients, dealias_policy: str | None = None) -> Field:
-    """du/dt of the nonlocal Cauchy problem.
+def rate_hat(u_hat: np.ndarray, grid: Grid, g: GeneralCoefficients,
+             mask: np.ndarray) -> np.ndarray:
+    """Half-spectrum du/dt of the nonlocal Cauchy problem from the rfft of u.
 
     du/dt = -(a1 + a2 u + a3 u^2) u_x
             + (1-dxx)^-1 [ d/dx(sum_i b_i u^i + b7 u_x^2 + b8 u u_x^2) + gamma u_x^3 ]
 
-    Products are formed in sample space; the advection, flux and cubic
-    products are transformed in one batched rfft, combined with the grid's
-    half-spectrum multipliers and the dealias mask of the policy (which
-    projects the assembled rate onto the retained band), and brought back by
-    one irfft: four transform calls per evaluation.
+    u and u_x come back to sample space in one batched irfft; the advection,
+    flux and cubic products are formed there, transformed in one batched
+    rfft, combined with the grid's half-spectrum multipliers and projected
+    onto the retained band by ``mask``: two transform calls per evaluation.
     """
-    grid = u.grid
-    mask = grid.dealias_mask(dealias_policy)
-    v = u.values
-    vx = np.fft.irfft(grid.mult_dx * np.fft.rfft(v), grid.n)
+    v, vx = np.fft.irfft(np.stack((u_hat, grid.mult_dx * u_hat)), grid.n)
     slope2 = vx * vx
     products = np.empty((3, grid.n))
     products[0] = -(g.alpha1 + g.alpha2 * v + g.alpha3 * v * v) * vx
@@ -73,7 +72,15 @@ def rhs_nonlocal(u: Field, g: GeneralCoefficients, dealias_policy: str | None = 
     products[1] += g.beta7 * slope2 + g.beta8 * v * slope2
     products[2] = g.gamma * slope2 * vx
     advection, flux, cubic = np.fft.rfft(products)
-    rate = mask * (advection + grid.mult_helmholtz_dx * flux + grid.mult_helmholtz * cubic)
+    return mask * (advection + grid.mult_helmholtz_dx * flux + grid.mult_helmholtz * cubic)
+
+
+def rhs_nonlocal(u: Field, g: GeneralCoefficients, dealias_policy: str | None = None) -> Field:
+    """du/dt of the nonlocal Cauchy problem in sample space: ``rate_hat``
+    between one rfft and one irfft, four transform calls per evaluation.
+    The dealias mask of the policy projects the rate onto the retained band."""
+    grid = u.grid
+    rate = rate_hat(np.fft.rfft(u.values), grid, g, grid.dealias_mask(dealias_policy))
     return Field(grid, np.fft.irfft(rate, grid.n))
 
 

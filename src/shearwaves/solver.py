@@ -1,9 +1,13 @@
 """Time integration of the nonlocal Cauchy problem with diagnostics.
 
-Classical fixed-stage RK4: the smoothing operator caps the dispersive
-multiplier at linear growth (|k^3/(1+k^2)| ~ |k|), so an explicit scheme with
-a CFL bound on the advection speed is stable.  Each accepted state is
-projected onto the dealiased band of the configured policy.
+Lawson's integrating-factor RK4 (J. D. Lawson 1967, SIAM J. Numer. Anal.
+4:372) on the rfft half-spectrum.  The linear shear drift is the diagonal,
+purely imaginary symbol L(k) = ik (beta1/(1+k^2) - alpha1), which the factor
+exp(L dt) advances exactly; RK4 integrates the nonlinear rate only.  The
+smoothing operator caps the nonlinear dispersive multipliers at linear growth
+in |k|, so the CFL bound needs only the nonlinear advection speed,
+max|alpha2 u + alpha3 u^2| + 1.  Each accepted state is projected onto the
+dealiased band of the configured policy.
 
 Diagnostics track the wave-breaking criterion: the time integral of the
 squared sup-norm of the slope, accumulated with the trapezoid rule, stays
@@ -13,12 +17,12 @@ can only ever exhibit the signature, not prove blow-up.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
 from .coeffs import GeneralCoefficients
-from .forms import rhs_nonlocal
+from .forms import rate_hat, rhs_nonlocal
 from .spectral import Field, Grid, dealias, derivative, sobolev_norm
 
 __all__ = [
@@ -103,30 +107,45 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
 
-def _rate(u: Field, t: float, g: GeneralCoefficients, forcing, policy) -> np.ndarray:
-    out = rhs_nonlocal(u, g, policy).values
-    if forcing is not None:
-        out = out + forcing(t, u.grid.x)
-    return out
-
-
 def step_rk4(u: Field, dt: float, g: GeneralCoefficients, forcing=None,
              t: float = 0.0, dealias_policy: str | None = None) -> Field:
-    """One classical Runge-Kutta step; negative dt integrates backwards."""
+    """One Lawson integrating-factor RK4 step; negative dt integrates backwards.
+
+    The state is the rfft half-spectrum w.  With E = exp(mask L dt/2) and N
+    the nonlinear rate (``rate_hat`` with alpha1 = beta1 = 0, plus the
+    forcing), the stages are classical RK4 on exp(-L t) w, so the linear
+    drift is exact at any dt: 10 transform calls per unforced step.  Modes
+    outside the dealias mask see E = 1, and the result is masked.
+    """
+    grid = u.grid
+    mask = grid.dealias_mask(dealias_policy)
+    linear = g.beta1 * grid.mult_helmholtz_dx - g.alpha1 * grid.mult_dx
+    e_half = np.exp((0.5 * dt) * (mask * linear))
+    e_full = e_half * e_half
+    g_nonlinear = replace(g, alpha1=0.0, beta1=0.0)
     half = 0.5 * dt
-    k1 = _rate(u, t, g, forcing, dealias_policy)
-    k2 = _rate(Field(u.grid, u.values + half * k1), t + half, g, forcing, dealias_policy)
-    k3 = _rate(Field(u.grid, u.values + half * k2), t + half, g, forcing, dealias_policy)
-    k4 = _rate(Field(u.grid, u.values + dt * k3), t + dt, g, forcing, dealias_policy)
-    out = Field(u.grid, u.values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-    if dealias_policy is not None:
-        out = dealias(out, dealias_policy)
-    return out
+
+    def rate(w, time):
+        out = rate_hat(w, grid, g_nonlinear, mask)
+        if forcing is not None:
+            out = out + np.fft.rfft(forcing(time, grid.x))
+        return out
+
+    w = np.fft.rfft(u.values)
+    k1 = rate(w, t)
+    k2 = rate(e_half * (w + half * k1), t + half)
+    k3 = rate(e_half * w + half * k2, t + half)
+    k4 = rate(e_full * w + dt * (e_half * k3), t + dt)
+    w_next = (e_full * (w + (dt / 6.0) * k1) + (dt / 3.0) * (e_half * (k2 + k3))
+              + (dt / 6.0) * k4)
+    return Field(grid, np.fft.irfft(mask * w_next, grid.n))
 
 
 def advection_speed_bound(u: Field, g: GeneralCoefficients) -> float:
+    """CFL speed max|alpha2 u + alpha3 u^2|; alpha1 is part of the linear
+    drift, which the step advances exactly."""
     v = u.values
-    return float(np.max(np.abs(g.alpha1 + g.alpha2 * v + g.alpha3 * v * v)))
+    return float(np.max(np.abs(g.alpha2 * v + g.alpha3 * v * v)))
 
 
 def _diagnose(u: Field, t: float, s: float, prev: DiagnosticsRecord | None) -> DiagnosticsRecord:

@@ -290,17 +290,31 @@ def test_convergence_gate(tmp_path, monkeypatch, order, ratio, code):
     assert json.loads(report.read_text())["pass"] is (code == 0)
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
 def test_convergence_fails_when_a_run_does_not_complete(tmp_path, capsys):
     # the right-hand side overflows at A = 1e12, so every study run ends nonfinite
     report = tmp_path / "conv.json"
     with np.errstate(over="ignore", invalid="ignore"):
         assert run_cli("convergence", "--A", "1e12", "--json", str(report)) == 1
-    payload = json.loads(report.read_text())
+    # strict JSON: the failed studies' NaNs are written as null
+    payload = json.loads(report.read_text(), parse_constant=_reject_constant)
     assert payload["pass"] is False
-    assert np.isnan(payload["temporal_order"]) and np.isnan(payload["spatial_ratio"])
+    assert payload["temporal_order"] is None and payload["spatial_ratio"] is None
     err = capsys.readouterr().err
     assert "temporal study: run at dt = 0.1 ended nonfinite" in err
     assert "spatial study: run at n = 64 ended nonfinite" in err
+
+
+def test_verify_json_is_strict(tmp_path):
+    # the log-interpolation ratio has an unbounded tolerance
+    report = tmp_path / "verify.json"
+    assert run_cli("verify", "--only", "besov", "--json", str(report)) == 0
+    entries = json.loads(report.read_text(), parse_constant=_reject_constant)
+    assert None in [e["tolerance"] for e in entries]
+    assert all(e["pass"] for e in entries)
 
 
 def test_convergence_gate_has_no_flags(capsys):

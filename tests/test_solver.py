@@ -9,12 +9,13 @@ from shearwaves.coeffs import GeneralCoefficients, model_coefficients, normalize
 from shearwaves.solver import (
     DIAGNOSTICS_HEADER,
     SimConfig,
+    advection_speed_bound,
     breaking_monitor,
     integrate,
     manufactured_forcing,
     step_rk4,
 )
-from shearwaves.spectral import Field, Grid
+from shearwaves.spectral import Field, Grid, random_mode_coefficients, trig_field
 
 CH = GeneralCoefficients(alpha1=0.0, alpha2=1.0, alpha3=0.0, beta1=0.0, beta2=-1.0,
                          beta3=0.0, beta4=0.0, beta5=0.0, beta6=0.0, beta7=-0.5,
@@ -136,6 +137,35 @@ def test_reversibility_linear_subcase():
         u = step_rk4(u, -dt, g_lin, t=t)
         t -= dt
     assert np.max(np.abs(u.values - orig)) < 1e-8
+
+
+def _linear_step_setup():
+    g_lin = linear_subcase(normalize(model_coefficients(1.5)))
+    grid = Grid(256, 40.0)
+    u = trig_field(grid, *random_mode_coefficients(np.random.default_rng(8), 16), amplitude=0.25)
+    return g_lin, grid, u
+
+
+def test_linear_drift_is_exact_at_any_step():
+    # dt = 0.5 is far past any CFL step; only an exact integrating factor
+    # reproduces the multiplier exp(L dt) there
+    g_lin, grid, u = _linear_step_setup()
+    dt = 0.5
+    symbol = g_lin.beta1 * grid.mult_helmholtz_dx - g_lin.alpha1 * grid.mult_dx
+    exact = np.fft.irfft(np.exp(symbol * dt) * np.fft.rfft(u.values), grid.n)
+    assert np.max(np.abs(step_rk4(u, dt, g_lin).values - exact)) < 1e-13
+
+
+def test_linear_step_reverses_exactly():
+    g_lin, grid, u = _linear_step_setup()
+    back = step_rk4(step_rk4(u, 0.5, g_lin), -0.5, g_lin, t=0.5)
+    assert np.max(np.abs(back.values - u.values)) < 1e-13
+
+
+def test_advection_speed_bound_excludes_linear_drift():
+    g = normalize(model_coefficients(1.5))
+    assert g.alpha1 > 1.0
+    assert advection_speed_bound(Field(Grid(64, 40.0), np.zeros(64)), g) == 0.0
 
 
 def test_cfl_mode_advances_to_t_end():
