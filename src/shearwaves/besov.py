@@ -55,7 +55,7 @@ class DyadicBlocks:
 
     ``blocks[0]`` is the low block (q = -1), ``blocks[i]`` the annulus block
     q = i - 1; ``multipliers`` holds the cutoff arrays sampled on the grid's
-    wavenumbers, in the same order.
+    half-spectrum wavenumbers ``Grid.k``, in the same order.
     """
 
     field: Field
@@ -85,11 +85,8 @@ def decompose(u: Field) -> DyadicBlocks:
     for q in range(qmax + 1):
         multipliers.append(phi_cutoff(k / 2.0**q))
         q_values.append(q)
-    hat = u.hat
-    blocks = []
-    for mult in multipliers:
-        piece = np.fft.ifft(hat * mult) * grid.n
-        blocks.append(Field(grid, piece.real))
+    pieces = np.fft.irfft(np.array(multipliers) * np.fft.rfft(u.values), grid.n)
+    blocks = [Field(grid, piece) for piece in pieces]
     return DyadicBlocks(field=u, blocks=blocks, q_values=q_values, multipliers=multipliers)
 
 

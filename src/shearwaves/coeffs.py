@@ -289,23 +289,7 @@ class DerivedIntermediates(_Record):
 
     @classmethod
     def from_speed(cls, c) -> "DerivedIntermediates":
-        c8 = _poly(c, [2, 0, 13, 0, 19, 0, 38, 0, 33, 0, 9]) / (6 * c**2 * (c**2 + 1) ** 4)
-        c9 = _poly(c, [1, 0, 3, 0, 2, 0, 28, 0, 21, 0, 5]) / (6 * c**2 * (c**2 + 1) ** 4)
-        c10 = _poly(c, [3, 0, 15, 0, 13, 0, 52, 0, 44, 0, 11]) / (3 * c**2 * (c**2 + 1) ** 4)
-
-        # slope-flux structure constraint: with the speed substitutions, the
-        # prefactor of gamma6 in the constraint display is
-        # (2/3)(c^4+c^2+1)/(c(c^2+1)), which fixes
-        #   gamma6            from (4c^6+7c^4-14c^2-9)/(18(c^2+1)^3),
-        #   gamma6*(1 - nu)   from -(c^4+6c^2+3)/(3(c^2+1)^3).
-        # nu itself is a free splitting parameter and is never materialized.
-        scale = 3 * c * (c**2 + 1) / (2 * (c**4 + c**2 + 1))
-        gamma6 = _poly(c, [4, 0, 7, 0, -14, 0, -9]) / (18 * (c**2 + 1) ** 3) * scale
-        g6_prod = -(c**4 + 6 * c**2 + 3) / (3 * (c**2 + 1) ** 3) * scale
-        # gamma6*(1-3nu) = 3*gamma6*(1-nu) - 2*gamma6
-        ring = (c**4 + c**2 + 1) / (c * (c**2 + 1))
-        b16 = ring * (3 * g6_prod - 2 * gamma6) + _poly(c, [2, 0, 7, 0, 14, 0, 6]) / (3 * (c**2 + 1) ** 3)
-        b17 = ring * g6_prod + (c**4 + 6 * c**2 + 3) / (3 * (c**2 + 1) ** 3)
+        c8, c9, c10, g6_prod, b16, b17 = _slope_flux(c)
         b18 = (g6_prod * _poly(c, [1, 0, 3, 0, 1, 0, -3, 0, -2, 0, 0, 0, 0])
                / (2 * (c**2 + 1) ** 5)
                + c * _poly(c, [1, 0, 4, 0, 9, 0, 37, 0, 24, 0, 5]) / (6 * (c**2 + 1) ** 5))
@@ -338,6 +322,30 @@ class DerivedIntermediates(_Record):
             B20=-_omega7(c),
             gamma6_times_1_minus_nu=g6_prod,
         )
+
+
+def _slope_flux(c):
+    """c8, c9, c10, gamma6*(1 - nu), B16 and B17 at speed c.  2*c8 + 2*c9 - c10
+    and B16 cancel their leading powers of c, so a float c loses about c^2 ulps
+    there; identity_suite checks them on Fraction(c)."""
+    c8 = _poly(c, [2, 0, 13, 0, 19, 0, 38, 0, 33, 0, 9]) / (6 * c**2 * (c**2 + 1) ** 4)
+    c9 = _poly(c, [1, 0, 3, 0, 2, 0, 28, 0, 21, 0, 5]) / (6 * c**2 * (c**2 + 1) ** 4)
+    c10 = _poly(c, [3, 0, 15, 0, 13, 0, 52, 0, 44, 0, 11]) / (3 * c**2 * (c**2 + 1) ** 4)
+
+    # slope-flux structure constraint: with the speed substitutions, the
+    # prefactor of gamma6 in the constraint display is
+    # (2/3)(c^4+c^2+1)/(c(c^2+1)), which fixes
+    #   gamma6            from (4c^6+7c^4-14c^2-9)/(18(c^2+1)^3),
+    #   gamma6*(1 - nu)   from -(c^4+6c^2+3)/(3(c^2+1)^3).
+    # nu itself is a free splitting parameter and is never materialized.
+    scale = 3 * c * (c**2 + 1) / (2 * (c**4 + c**2 + 1))
+    gamma6 = _poly(c, [4, 0, 7, 0, -14, 0, -9]) / (18 * (c**2 + 1) ** 3) * scale
+    g6_prod = -(c**4 + 6 * c**2 + 3) / (3 * (c**2 + 1) ** 3) * scale
+    # gamma6*(1-3nu) = 3*gamma6*(1-nu) - 2*gamma6
+    ring = (c**4 + c**2 + 1) / (c * (c**2 + 1))
+    b16 = ring * (3 * g6_prod - 2 * gamma6) + _poly(c, [2, 0, 7, 0, 14, 0, 6]) / (3 * (c**2 + 1) ** 3)
+    b17 = ring * g6_prod + (c**4 + 6 * c**2 + 3) / (3 * (c**2 + 1) ** 3)
+    return c8, c9, c10, g6_prod, b16, b17
 
 
 def model_coefficients(vorticity: float) -> ModelCoefficients:
@@ -400,13 +408,14 @@ def identity_suite(vorticity: float, tol: float = 1e-12) -> list:
         add(f"omega{i}_matches_B1{i}", _rel(w, b))
     for i, (a, ci) in enumerate(zip((d.A8, d.A9, d.A10), (d.c8, d.c9, d.c10)), start=8):
         add(f"A{i}_is_minus_c{i}", _rel(a, -ci), 0.0)
+    cq = Fraction(c)  # exact rationals, see _slope_flux
+    c8, c9, c10, _, b16, b17 = _slope_flux(cq)
     add("derivative_obstruction",
-        _rel(2 * d.c8 + 2 * d.c9 - d.c10,
-             (c**6 + 7 * c**4 + 7 * c**2 + 3) / (3 * c**2 * (c**2 + 1) ** 3)))
-    target = -(c**4 + 6 * c**2 + 3) / (3 * (c**2 + 1) ** 3)
-    add("B16_equals_2_B17", _rel(d.B16, 2 * d.B17))
-    add("B16_closed_form", _rel(d.B16, target))
-    add("B16_is_minus_2_alpha_beta", _rel(d.B16, -2 * m.alpha * m.beta))
+        _rel(2 * c8 + 2 * c9 - c10,
+             (cq**6 + 7 * cq**4 + 7 * cq**2 + 3) / (3 * cq**2 * (cq**2 + 1) ** 3)))
+    add("B16_equals_2_B17", _rel(b16, 2 * b17))
+    add("B16_closed_form", _rel(b16, -(cq**4 + 6 * cq**2 + 3) / (3 * (cq**2 + 1) ** 3)))
+    add("B16_is_minus_2_alpha_beta", _rel(b16, -2 * m.alpha * m.beta))
     add("gamma6_product_is_minus_c_beta", _rel(d.gamma6_times_1_minus_nu, -c * m.beta))
     add("normalized_advection_unit", abs(g.alpha2 - 1.0), 0.0)
     add("normalized_quadratic_flux", abs(g.beta2 + 1.0), 0.0)

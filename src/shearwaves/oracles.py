@@ -32,10 +32,10 @@ def _wrap_half(z, length):
 def trig_eval(f: Field, points) -> np.ndarray:
     """Evaluate the band-limited interpolant of f at arbitrary points."""
     grid = f.grid
-    hat = f.hat
+    hat = np.fft.fft(f.values) / grid.n
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.length / grid.n)
     # split the Nyquist coefficient between +/- n/2 so the interpolant is real
-    ny = grid.nyquist_index
-    k = grid.k
+    ny = grid.n // 2
     phases = np.exp(1j * np.outer(np.asarray(points, dtype=float), k))
     vals = phases @ hat
     extra = hat[ny] * 0.5 * (np.exp(1j * np.outer(points, [-k[ny]])) -

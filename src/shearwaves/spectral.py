@@ -1,10 +1,8 @@
 """Periodic grid, spectral differentiation and the smoothing operator (1 - dxx)^-1.
 
-The operators apply half-spectrum (``rfft``) multipliers cached on ``Grid``.
-``Field.hat`` stays the full forward transform divided by n (pinned, tests
-rely on it): ``f.hat[j]`` is the coefficient of exp(i*k_j*x), with ``Grid.k``
-in numpy's fft ordering.  hat is computed on each access; a Field holds no
-derived state.
+The operators apply half-spectrum (``rfft``) multipliers cached on ``Grid``,
+built on ``Grid.k``, the ``rfft`` wavenumbers 0..k_max.  A Field holds no
+derived state, only its grid and its values.
 """
 from __future__ import annotations
 
@@ -37,11 +35,9 @@ class Grid:
         self.length = float(length)
         self.dx = self.length / self.n
         self.x = np.arange(self.n) * self.dx
-        self.k = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
         self.k_max = np.pi * self.n / self.length
-        self.nyquist_index = self.n // 2
+        self.k = k = 2.0 * np.pi * np.fft.rfftfreq(self.n, d=self.dx)
         # half-spectrum multipliers; the odd ones zero the Nyquist bin to stay real
-        k = 2.0 * np.pi * np.fft.rfftfreq(self.n, d=self.dx)
         self.mult_dx = 1j * k
         self.mult_dx[-1] = 0.0
         self.mult_helmholtz = 1.0 / (1.0 + k**2)
@@ -74,8 +70,7 @@ class Grid:
 
 
 class Field:
-    """Real function sampled on a Grid.  hat is computed on each access; a
-    Field holds no derived state."""
+    """Real function sampled on a Grid."""
 
     __slots__ = ("grid", "values")
 
@@ -85,10 +80,6 @@ class Field:
             raise ValueError(f"expected {grid.n} samples, got shape {values.shape}")
         self.grid = grid
         self.values = values
-
-    @property
-    def hat(self) -> np.ndarray:
-        return np.fft.fft(self.values) / self.grid.n
 
     def __sub__(self, other):
         if isinstance(other, Field):
@@ -132,14 +123,16 @@ def sup_norm(f: Field) -> float:
 
 
 def sobolev_norm(f: Field, s: float) -> float:
-    """H^s norm from the spectrum: sqrt(L * sum (1+k^2)^s |hat|^2).
+    """H^s norm from the spectrum: sqrt(L * sum (1+k^2)^s |hat|^2) over all
+    bins, with hat = rfft(u)/n; every half-spectrum bin but the mean and the
+    Nyquist bin stands for itself and its conjugate.
 
     Normalized so that s = 0 reproduces the L^2 quadrature norm and s = 1
     squares to the energy integral of u^2 + u_x^2.
     """
     g = f.grid
-    weights = (1.0 + g.k**2) ** s
-    return float(np.sqrt(g.length * np.sum(weights * np.abs(f.hat) ** 2)))
+    power = (1.0 + g.k**2) ** s * np.abs(np.fft.rfft(f.values) / g.n) ** 2
+    return float(np.sqrt(g.length * (2.0 * np.sum(power) - power[0] - power[-1])))
 
 
 def random_mode_coefficients(rng, max_mode: int, decay: float = 0.3):

@@ -81,8 +81,19 @@ def test_blocks_two_octaves_apart_are_orthogonal(grid):
     for i, mi in enumerate(blocks.multipliers):
         for j, mj in enumerate(blocks.multipliers):
             if abs(blocks.q_values[i] - blocks.q_values[j]) >= 2:
-                overlap = np.max(np.abs(mi * mj * np.abs(u.hat)))
+                overlap = np.max(np.abs(mi * mj * np.abs(np.fft.rfft(u.values)) / grid.n))
                 assert overlap < 1e-10 * max(norm, 1.0)
+
+
+def test_blocks_match_full_spectrum_composition(grid):
+    rng = np.random.default_rng(6)
+    u = Field(grid, 0.3 + rng.standard_normal(grid.n))
+    k = np.abs(2 * np.pi * np.fft.fftfreq(grid.n, grid.dx))
+    blocks = decompose(u)
+    for q, blk in zip(blocks.q_values, blocks.blocks):
+        mult = chi_cutoff(k) if q == -1 else phi_cutoff(k / 2.0**q)
+        expect = np.fft.ifft(np.fft.fft(u.values) * mult).real
+        assert np.max(np.abs(blk.values - expect)) <= 1e-13 * np.max(np.abs(u.values))
 
 
 def test_zero_field_norm(grid):

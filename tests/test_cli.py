@@ -1,5 +1,7 @@
 """Command-line interface: tables, verification suites, runs, reproducibility."""
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,6 +113,20 @@ def test_simulate_run_directory(tmp_path, capsys):
     assert "dispersion_note" in manifest
     header = (outdir / "diagnostics.csv").read_text().splitlines()[0]
     assert header == "t,sup_u,min_ux,max_ux,h1,hs,breaking_integral,ch_energy"
+
+
+def test_readme_run_configuration_runs(tmp_path):
+    # the documented config is the byte-identity reference for run directories
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"### Run configuration\n.*?```json\n(.*?)```", readme, re.S).group(1)
+    cfg_path = tmp_path / "readme.json"
+    cfg_path.write_text(block)
+    outdir = tmp_path / "out"
+    assert run_cli("simulate", str(cfg_path), "--out", str(outdir)) == 0
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["termination"] == "completed"
+    assert manifest["records"] == 11
+    assert len((outdir / "diagnostics.csv").read_text().splitlines()) == 1 + 11
 
 
 def test_simulate_rerun_clears_stale_snapshots(tmp_path):

@@ -85,12 +85,12 @@ def test_rhs_matches_independent_ch_oracle(grid, seed):
 @pytest.mark.parametrize("policy", [None, "two_thirds", "strong"])
 def test_rhs_matches_raw_fft_composition(grid, policy):
     # every coefficient nonzero; the expected rate is composed from full
-    # complex transforms and grid.k, not from the grid's cached multipliers
+    # complex transforms and fft-ordered wavenumbers, not from the grid's cache
     fraction = {None: math.inf, "two_thirds": 2.0 / 3.0, "strong": 2.0 / 7.0}[policy]
     rng = np.random.default_rng(13)
     names = [f.name for f in dataclasses.fields(GeneralCoefficients)]
     g = GeneralCoefficients(**dict(zip(names, rng.uniform(0.2, 1.0, 12) * rng.choice([-1, 1], 12))))
-    k = grid.k
+    k = 2 * np.pi * np.fft.fftfreq(grid.n, grid.dx)
     ik = 1j * k
     ik[grid.n // 2] = 0.0
     for _ in range(3):
@@ -114,7 +114,8 @@ def test_rhs_unknown_policy(grid):
 
 def test_oracles_ignore_cached_multipliers():
     # the oracles must stay independent of the fast path they check: garbage
-    # in the grid's cached multipliers changes rhs_nonlocal and nothing else
+    # in the grid's wavenumbers and cached multipliers changes rhs_nonlocal
+    # and nothing else
     grid = Grid(64, 40.0)
     a, b = random_mode_coefficients(np.random.default_rng(14), 8)
     values = trig_field(grid, a, b, amplitude=0.5).values
@@ -131,6 +132,7 @@ def test_oracles_ignore_cached_multipliers():
         setattr(grid, name, garbage.standard_normal(grid.n // 2 + 1) * 1j)
     grid.dealias_masks = {policy: garbage.standard_normal(grid.n // 2 + 1)
                           for policy in grid.dealias_masks}
+    grid.k = garbage.standard_normal(grid.n // 2 + 1)
     after = evaluate()
     assert np.max(np.abs(after[0] - before[0])) > 1e-3
     for old, new in zip(before[1:], after[1:]):
@@ -170,9 +172,9 @@ def test_residual_linear_dispersion_oracle(grid):
     rng = np.random.default_rng(1)
     a, b = random_mode_coefficients(rng, 12)
     u = trig_field(grid, a, b, amplitude=0.3)
-    k = grid.k
+    k = 2 * np.pi * np.fft.fftfreq(grid.n, grid.dx)
     omega = k * (m.c + m.beta0 * s.mu * k**2) / (1.0 + m.beta * s.mu * k**2)
-    ut = Field(grid, (np.fft.ifft(-1j * omega * u.hat) * grid.n).real)
+    ut = Field(grid, np.fft.ifft(-1j * omega * np.fft.fft(u.values)).real)
     res = residual_local_form(u, ut, m, s)
     assert np.max(np.abs(res.values)) < 1e-10
 
@@ -181,9 +183,9 @@ def test_residual_flips_with_wrong_dispersion_sign(grid):
     m = model_coefficients(1.5)
     s = ScaleParams(1e-10, 1.0)
     u = Field(grid, 0.3 * np.cos(2 * np.pi * 5 * grid.x / 40.0))
-    k = grid.k
+    k = 2 * np.pi * np.fft.fftfreq(grid.n, grid.dx)
     omega_bad = k * (m.c - m.beta0 * s.mu * k**2) / (1.0 + m.beta * s.mu * k**2)
-    ut = Field(grid, (np.fft.ifft(-1j * omega_bad * u.hat) * grid.n).real)
+    ut = Field(grid, np.fft.ifft(-1j * omega_bad * np.fft.fft(u.values)).real)
     res = residual_local_form(u, ut, m, s)
     assert np.max(np.abs(res.values)) > 1e-6
 
