@@ -25,7 +25,6 @@ __all__ = [
     "decompose",
     "besov_norm",
     "besov_norm_from_blocks",
-    "block_lp_norm",
     "inequality_suite",
 ]
 
@@ -51,23 +50,28 @@ def phi_cutoff(xi):
 
 @dataclass
 class DyadicBlocks:
-    """Frequency-localized pieces of a sampled field.
+    """Frequency-localized pieces of a sampled field, one row per block.
 
-    ``blocks[0]`` is the low block (q = -1), ``blocks[i]`` the annulus block
-    q = i - 1; ``multipliers`` holds the cutoff arrays sampled on the grid's
-    half-spectrum wavenumbers ``Grid.k``, in the same order.
+    ``blocks`` has shape (Q+2, n): row 0 is the low block (q = -1) and row i
+    the annulus block q = i - 1, so ``q_values`` is -1..Q.  ``multipliers``
+    holds the matching (Q+2, n/2+1) cutoffs on the grid's half-spectrum
+    wavenumbers ``Grid.k``.
     """
 
     field: Field
-    blocks: list
-    q_values: list
-    multipliers: list
+    blocks: np.ndarray
+    q_values: np.ndarray
+    multipliers: np.ndarray
 
     def reconstruction_residual(self) -> float:
-        total = np.zeros(self.field.grid.n)
-        for b in self.blocks:
-            total += b.values
-        return float(np.max(np.abs(total - self.field.values)))
+        return float(np.max(np.abs(self.blocks.sum(axis=0) - self.field.values)))
+
+    def lp_norms(self, p: float) -> np.ndarray:
+        """Discrete L^p norm of every block, dx-weighted; p = inf is the row max."""
+        v = np.abs(self.blocks)
+        if math.isinf(p):
+            return v.max(axis=1)
+        return (self.field.grid.dx * np.sum(v**p, axis=1)) ** (1.0 / p)
 
 
 def q_max_for_grid(grid) -> int:
@@ -79,30 +83,16 @@ def decompose(u: Field) -> DyadicBlocks:
     resolved band."""
     grid = u.grid
     k = grid.k
-    qmax = q_max_for_grid(grid)
-    multipliers = [chi_cutoff(k)]
-    q_values = [-1]
-    for q in range(qmax + 1):
-        multipliers.append(phi_cutoff(k / 2.0**q))
-        q_values.append(q)
-    pieces = np.fft.irfft(np.array(multipliers) * np.fft.rfft(u.values), grid.n)
-    blocks = [Field(grid, piece) for piece in pieces]
+    q_values = np.arange(-1, q_max_for_grid(grid) + 1)
+    multipliers = np.vstack([chi_cutoff(k), phi_cutoff(k / 2.0 ** q_values[1:, None])])
+    blocks = np.fft.irfft(multipliers * np.fft.rfft(u.values), grid.n)
     return DyadicBlocks(field=u, blocks=blocks, q_values=q_values, multipliers=multipliers)
-
-
-def block_lp_norm(block: Field, p: float) -> float:
-    """Discrete L^p norm, dx-weighted; p = inf is the grid max."""
-    v = np.abs(block.values)
-    if math.isinf(p):
-        return float(np.max(v))
-    return float((block.grid.dx * np.sum(v**p)) ** (1.0 / p))
 
 
 def besov_norm_from_blocks(blocks: DyadicBlocks, s: float, p: float, r: float) -> float:
     if p < 1 or r < 1:
         raise ValueError(f"integrability indices must be >= 1, got p={p}, r={r}")
-    weights = np.array([2.0 ** (q * s) * block_lp_norm(b, p)
-                        for q, b in zip(blocks.q_values, blocks.blocks)])
+    weights = 2.0 ** (blocks.q_values * s) * blocks.lp_norms(p)
     if math.isinf(r):
         return float(np.max(weights))
     return float(np.sum(weights**r) ** (1.0 / r))

@@ -38,6 +38,11 @@ from .spectral import (
 
 SCHEMA_VERSION = 1
 OUTPUT_ROOT_ENV = "SHEARWAVES_OUTPUT_ROOT"
+# every top-level run-configuration field the reader knows; any other is an error
+CONFIG_FIELDS = frozenset((
+    "schema_version", "n", "length", "t_end", "dt", "cfl", "dealias", "snapshot_stride",
+    "breaking_stop", "sobolev_s", "vorticity", "coefficients", "initial", "amplitude",
+    "mode", "width", "center", "seed", "max_mode"))
 
 DISPERSION_NOTE = ("linear phase: omega(k) = k*(c + (beta0/beta)*k^2)/(1 + k^2) "
                    "for the rescaled form; sign fixed by one-time symbolic derivation")
@@ -313,6 +318,9 @@ def load_config(path) -> dict:
     version = _number(cfg, "schema_version", integer=True)
     if version != SCHEMA_VERSION:
         raise ConfigError(f"config: schema_version {version} unsupported (want {SCHEMA_VERSION})")
+    unknown = sorted(set(cfg) - CONFIG_FIELDS)
+    if unknown:
+        raise ConfigError(f"config: unknown fields {unknown}")
     return cfg
 
 

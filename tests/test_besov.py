@@ -43,9 +43,9 @@ def test_partition_of_unity_on_grid(grid):
 
 def test_constant_field_lives_in_low_block(grid):
     blocks = decompose(Field(grid, np.full(grid.n, 0.7)))
-    assert np.max(np.abs(blocks.blocks[0].values - 0.7)) < 1e-13
+    assert np.max(np.abs(blocks.blocks[0] - 0.7)) < 1e-13
     for blk in blocks.blocks[1:]:
-        assert np.max(np.abs(blk.values)) < 1e-13
+        assert np.max(np.abs(blk)) < 1e-13
 
 
 def test_single_mode_hits_single_block(grid):
@@ -53,7 +53,7 @@ def test_single_mode_hits_single_block(grid):
     u = Field(grid, np.cos(grid.k[38] * grid.x))
     blocks = decompose(u)
     active = [q for q, blk in zip(blocks.q_values, blocks.blocks)
-              if np.max(np.abs(blk.values)) > 1e-12]
+              if np.max(np.abs(blk)) > 1e-12]
     assert active == [2]
 
 
@@ -68,8 +68,7 @@ def test_blocks_are_real(grid):
     rng = np.random.default_rng(1)
     a, b = random_mode_coefficients(rng, 60)
     u = trig_field(grid, a, b, amplitude=1.0)
-    for blk in decompose(u).blocks:
-        assert blk.values.dtype == np.float64
+    assert decompose(u).blocks.dtype == np.float64
 
 
 def test_blocks_two_octaves_apart_are_orthogonal(grid):
@@ -93,7 +92,26 @@ def test_blocks_match_full_spectrum_composition(grid):
     for q, blk in zip(blocks.q_values, blocks.blocks):
         mult = chi_cutoff(k) if q == -1 else phi_cutoff(k / 2.0**q)
         expect = np.fft.ifft(np.fft.fft(u.values) * mult).real
-        assert np.max(np.abs(blk.values - expect)) <= 1e-13 * np.max(np.abs(u.values))
+        assert np.max(np.abs(blk - expect)) <= 1e-13 * np.max(np.abs(u.values))
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf], ids=["1", "2", "3", "inf"])
+def test_block_norms_match_per_block_quadrature(grid, p):
+    rng = np.random.default_rng(8)
+    blocks = decompose(Field(grid, 0.3 + rng.standard_normal(grid.n)))
+    norms = blocks.lp_norms(p)
+    expect = []
+    for row in blocks.blocks:
+        v = np.abs(row)
+        expect.append(np.max(v) if math.isinf(p) else (grid.dx * np.sum(v**p)) ** (1.0 / p))
+    assert norms.shape == (len(expect),)
+    np.testing.assert_allclose(norms, expect, rtol=1e-14, atol=0.0)
+    # s < 0 weights the low block (q = -1) by 2^(+0.5), above every annulus
+    s = -0.5
+    weights = [2.0 ** (q * s) * e for q, e in enumerate(expect, start=-1)]
+    for r in (1.0, 2.0, math.inf):
+        oracle = max(weights) if math.isinf(r) else sum(w**r for w in weights) ** (1.0 / r)
+        assert besov_norm_from_blocks(blocks, s, p, r) == pytest.approx(oracle, rel=1e-14)
 
 
 def test_zero_field_norm(grid):
@@ -134,7 +152,7 @@ def test_monotone_in_smoothness_for_annulus_content(grid):
     # with the low block empty, raising s raises every weight 2^(qs), q >= 0
     u = Field(grid, np.cos(grid.k[38] * grid.x) + 0.5 * np.cos(grid.k[90] * grid.x))
     blocks = decompose(u)
-    assert np.max(np.abs(blocks.blocks[0].values)) < 1e-12
+    assert np.max(np.abs(blocks.blocks[0])) < 1e-12
     values = [besov_norm_from_blocks(blocks, s, 2.0, 2.0) for s in (0.0, 0.5, 1.0, 2.0)]
     assert all(v2 > v1 for v1, v2 in zip(values, values[1:]))
 

@@ -228,6 +228,9 @@ def test_simulate_breaking_flag_in_manifest(tmp_path):
     pytest.param(lambda c: c.update(dealias=["two_thirds"]),
                  "'dealias' must be two_thirds|strong|null, got ['two_thirds']",
                  id="dealias-unhashable"),
+    # a misspelt optional field would otherwise run silently at its default
+    pytest.param(lambda c: c.update({"sobolev": 3.0, "snapshot-stride": 1}),
+                 "config: unknown fields ['snapshot-stride', 'sobolev']", id="unknown-fields"),
 ])
 def test_simulate_config_errors(tmp_path, capsys, mutate, message_part):
     cfg_path = tmp_path / "bad.json"
