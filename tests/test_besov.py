@@ -171,6 +171,32 @@ def test_inequality_suite_on_sample(grid):
     assert all(math.isfinite(r) for r in ratios)
 
 
+def test_inequality_suite_entries_equal_per_entry_besov_norms(grid):
+    # every entry recomputed from a fresh besov_norm(u, s, 2, r) per norm: the
+    # suite's shared block norms must not move a single bit
+    rng = np.random.default_rng(17)
+    fields = [trig_field(grid, *random_mode_coefficients(rng, 40), amplitude=1.0)
+              for _ in range(100)]
+    report = inequality_suite(fields)
+    expect = []
+    ratios = []
+    for idx, u in enumerate(fields):
+        for r1, r2 in ((1.0, 2.0), (2.0, math.inf), (1.0, math.inf)):
+            n1, n2 = besov_norm(u, 0.5, 2.0, r1), besov_norm(u, 0.5, 2.0, r2)
+            expect.append(("r_monotonicity", idx, max(0.0, n2 - n1)))
+        for r in (1.0, 2.0, math.inf):
+            bound = besov_norm(u, 0.5, 2.0, r) ** 0.5 * besov_norm(u, 1.5, 2.0, r) ** 0.5
+            expect.append(("interpolation", idx, max(0.0, besov_norm(u, 1.0, 2.0, r) - bound)))
+        low_1, low_inf = besov_norm(u, 0.5, 2.0, 1.0), besov_norm(u, 0.5, 2.0, math.inf)
+        high_inf = besov_norm(u, 1.5, 2.0, math.inf)
+        ratios.append(low_1 / (low_inf * math.log(math.e + high_inf / low_inf)))
+    expect += [("log_interpolation_ratio", idx, ratio) for idx, ratio in enumerate(ratios)]
+    assert [(e["check"], e["params"]["field"], e["defect_or_ratio"]) for e in report] == expect
+    fitted = {e["params"]["fitted_constant"] for e in report
+              if e["check"] == "log_interpolation_ratio"}
+    assert fitted == {max(ratios)}
+
+
 def test_inequality_suite_zero_field_vacuous(grid):
     report = inequality_suite([Field(grid, np.zeros(grid.n))])
     assert all(entry["pass"] for entry in report)
