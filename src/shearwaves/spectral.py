@@ -144,24 +144,25 @@ def random_mode_coefficients(rng, max_mode: int, decay: float = 0.3):
 
 
 def trig_field(grid: Grid, cos_coeffs, sin_coeffs, amplitude: float | None = None) -> Field:
-    """Band-limited field sum_j a_j cos(k_j x) + b_j sin(k_j x) built from
-    explicit mode coefficients (grid-independent content, usable across
-    resolutions).  When ``amplitude`` is given, coefficients are rescaled so
+    """Band-limited field sum_j a_j cos(k_j x) + b_j sin(k_j x), j = 1..m, from
+    grid-independent coefficients: one ``irfft`` of the half-spectrum holding
+    (a_j - i b_j) n/2 in bins 1..m.  Both arrays must have the same length
+    m < n/2.  When ``amplitude`` is given, coefficients are rescaled so
     sum |a_j| + |b_j| = amplitude, bounding the sup norm by it."""
     a = np.asarray(cos_coeffs, dtype=float)
     b = np.asarray(sin_coeffs, dtype=float)
-    if a.size >= grid.n // 2 or b.size >= grid.n // 2:
+    if a.size != b.size:
+        raise ValueError(f"{a.size} cos but {b.size} sin coefficients; the counts must match")
+    if a.size >= grid.n // 2:
         raise ValueError("mode content exceeds the grid band")
     if amplitude is not None:
         total = np.sum(np.abs(a)) + np.sum(np.abs(b))
         if total > 0:
             scale = amplitude / total
             a, b = a * scale, b * scale
-    values = np.zeros(grid.n)
-    for j in range(1, a.size + 1):
-        k = 2.0 * np.pi * j / grid.length
-        values += a[j - 1] * np.cos(k * grid.x) + b[j - 1] * np.sin(k * grid.x)
-    return Field(grid, values)
+    half = np.zeros(grid.n // 2 + 1, dtype=complex)
+    half[1:a.size + 1] = (a - 1j * b) * (grid.n / 2)
+    return Field(grid, np.fft.irfft(half, grid.n))
 
 
 def field_to_csv(f: Field, path) -> None:

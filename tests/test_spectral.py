@@ -216,6 +216,43 @@ def test_sobolev_norm_matches_full_spectrum_sum(grid, s):
     assert sobolev_norm(f, s) == pytest.approx(expect, rel=1e-14)
 
 
+def _direct_trig_sum(grid, a, b):
+    """sum_j a_j cos(k_j x) + b_j sin(k_j x), one mode at a time.  The phase
+    k_j x_m = 2 pi j m / n is reduced mod n in integers first: formed as the
+    float product k_j * x_m, its rounding alone moves the n = 4096 sum by
+    1e-13 of the amplitude."""
+    m = np.arange(grid.n)
+    values = np.zeros(grid.n)
+    for j in range(1, len(a) + 1):
+        phase = 2.0 * np.pi * (j * m % grid.n) / grid.n
+        values += a[j - 1] * np.cos(phase) + b[j - 1] * np.sin(phase)
+    return values
+
+
+@pytest.mark.parametrize("amplitude", [None, 0.7], ids=["raw", "amplitude"])
+@pytest.mark.parametrize("n", [16, 256, 4096])
+def test_trig_field_matches_direct_sum(n, amplitude):
+    # O(1) coefficients on every allowed mode, the top one n/2 - 1 included
+    grid = Grid(n, 40.0)
+    rng = np.random.default_rng(n)
+    a, b = rng.standard_normal(n // 2 - 1), rng.standard_normal(n // 2 - 1)
+    total = np.sum(np.abs(a)) + np.sum(np.abs(b))
+    scale = 1.0 if amplitude is None else amplitude / total
+    f = trig_field(grid, a, b, amplitude)
+    gap = np.max(np.abs(f.values - _direct_trig_sum(grid, a * scale, b * scale)))
+    assert gap <= 1e-14 * total * scale
+
+
+@pytest.mark.parametrize("cos_coeffs, sin_coeffs, message", [
+    ([1.0], [0.0, 1.0], "1 cos but 2 sin"),
+    ([1.0, 2.0], [1.0], "2 cos but 1 sin"),
+    (np.ones(8), np.ones(8), "exceeds the grid band"),
+], ids=["short-cos", "short-sin", "past-band"])
+def test_trig_field_rejects_bad_coefficients(cos_coeffs, sin_coeffs, message):
+    with pytest.raises(ValueError, match=message):
+        trig_field(Grid(16, 40.0), cos_coeffs, sin_coeffs)
+
+
 def test_csv_roundtrip(tmp_path, grid):
     rng = np.random.default_rng(9)
     f = Field(grid, rng.standard_normal(grid.n))
