@@ -91,6 +91,25 @@ def test_mms_exactness_n128():
     assert err < 1e-8
 
 
+def test_forcing_called_once_per_stage_time():
+    # stages k2 and k3 share t + dt/2: the forcing, a full rhs_nonlocal per
+    # call, depends on t only and is taken once there
+    g = normalize(model_coefficients(1.5))
+    grid = Grid(64, 40.0)
+    u_exact, u_exact_t = mms_solution(40.0)
+    forcing = manufactured_forcing(grid, g, u_exact, u_exact_t, "two_thirds")
+    times = []
+
+    def recorded(t, x):
+        times.append(t)
+        return forcing(t, x)
+
+    t, dt = 0.3, 0.01
+    u = step_rk4(Field(grid, u_exact(t, grid.x)), dt, g, recorded, t, "two_thirds")
+    assert times == [t, t + dt / 2, t + dt]
+    assert np.all(np.isfinite(u.values))
+
+
 def test_ch_energy_conservation():
     grid = Grid(256, 40.0)
     u0 = Field(grid, 0.25 / np.cosh(grid.x - 20.0) ** 2)
