@@ -219,7 +219,7 @@ def test_sobolev_norm_matches_full_spectrum_sum(grid, s):
 def _direct_trig_sum(grid, a, b):
     """sum_j a_j cos(k_j x) + b_j sin(k_j x), one mode at a time.  The phase
     k_j x_m = 2 pi j m / n is reduced mod n in integers first: formed as the
-    float product k_j * x_m, its rounding alone moves the n = 4096 sum by
+    float product k_j * x_m, its rounding alone moves the n = 4096 sum by up to
     1e-13 of the amplitude."""
     m = np.arange(grid.n)
     values = np.zeros(grid.n)
