@@ -202,6 +202,74 @@ def test_inequality_suite_zero_field_vacuous(grid):
     assert all(entry["pass"] for entry in report)
 
 
+def test_inequality_suite_entries_equal_per_entry_besov_norms_coarse_grid():
+    # n = 64 has fewer blocks than n = 256 (another Q); the zero field takes the
+    # ratio's vacuous branch
+    grid = Grid(64, 40.0)
+    assert q_max_for_grid(grid) != q_max_for_grid(Grid(256, 40.0))
+    rng = np.random.default_rng(23)
+    fields = [trig_field(grid, *random_mode_coefficients(rng, 20), amplitude=1.0)
+              for _ in range(30)]
+    fields.insert(4, Field(grid, np.zeros(grid.n)))
+    report = inequality_suite(fields)
+    expect = []
+    ratios = []
+    for idx, u in enumerate(fields):
+        norm = {(s, r): besov_norm(u, s, 2.0, r)
+                for s in (0.5, 1.0, 1.5) for r in (1.0, 2.0, math.inf)}
+        for r1, r2 in ((1.0, 2.0), (2.0, math.inf), (1.0, math.inf)):
+            expect.append(("r_monotonicity", idx, max(0.0, norm[0.5, r2] - norm[0.5, r1])))
+        for r in (1.0, 2.0, math.inf):
+            bound = norm[0.5, r] ** 0.5 * norm[1.5, r] ** 0.5
+            expect.append(("interpolation", idx, max(0.0, norm[1.0, r] - bound)))
+        low_1, low_inf, high_inf = norm[0.5, 1.0], norm[0.5, math.inf], norm[1.5, math.inf]
+        ratios.append(0.0 if low_inf == 0.0 else
+                      low_1 / (low_inf * math.log(math.e + high_inf / low_inf)))
+    expect += [("log_interpolation_ratio", idx, ratio) for idx, ratio in enumerate(ratios)]
+    assert [(e["check"], e["params"]["field"], e["defect_or_ratio"]) for e in report] == expect
+    assert all(e["pass"] for e in report)
+    assert ratios[4] == 0.0
+    assert {e["params"]["fitted_constant"] for e in report
+            if e["check"] == "log_interpolation_ratio"} == {max(ratios)}
+
+
+def test_inequality_suite_nan_sample_fails_its_field_only(grid):
+    rng = np.random.default_rng(29)
+    fields = [trig_field(grid, *random_mode_coefficients(rng, 40), amplitude=1.0)
+              for _ in range(6)]
+    clean = inequality_suite(fields)
+    # first, so that a plain max() over the ratios would return the NaN
+    values = fields[0].values.copy()
+    values[17] = np.nan
+    fields[0] = Field(grid, values)
+    report = inequality_suite(fields)
+    assert len(report) == len(clean) == 7 * 6
+    for entry, before in zip(report, clean):
+        if entry["params"]["field"] == 0:
+            assert math.isnan(entry["defect_or_ratio"]), entry
+            assert not entry["pass"], entry
+        else:
+            assert entry["pass"], entry
+            assert entry["defect_or_ratio"] == before["defect_or_ratio"]
+    # the fitted constant comes from the finite ratios alone
+    fitted = {e["params"]["fitted_constant"] for e in report
+              if e["check"] == "log_interpolation_ratio"}
+    assert fitted == {max(e["defect_or_ratio"] for e in clean
+                          if e["check"] == "log_interpolation_ratio"
+                          and e["params"]["field"] != 0)}
+
+
+def test_inequality_suite_empty_sample(grid):
+    assert inequality_suite([]) == []
+
+
+def test_inequality_suite_rejects_mixed_grids(grid):
+    other = Grid(128, 40.0)
+    fields = [Field(grid, np.zeros(grid.n)), Field(other, np.zeros(other.n))]
+    with pytest.raises(ValueError, match=r"Grid\(n=256, length=40\.0\).*Grid\(n=128, length=40\.0\)"):
+        inequality_suite(fields)
+
+
 def test_r_monotonicity_exact(grid):
     rng = np.random.default_rng(6)
     a, b = random_mode_coefficients(rng, 50)

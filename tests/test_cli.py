@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shearwaves import cli
+from shearwaves import checks, cli
 from shearwaves.cli import main
 
 
@@ -77,6 +77,43 @@ def test_verify_fault_injection_names_failing_check(tmp_path, capsys):
 
 def test_verify_fault_unknown_field(capsys):
     assert run_cli("verify", "--inject-fault", "nope") == 2
+
+
+@pytest.mark.parametrize("nan_field", [4, 37])
+def test_verify_besov_fails_on_nan_field(capsys, monkeypatch, nan_field):
+    # one NaN sample in one of the suite's random fields; the reconstruction
+    # check decomposes only the first 10
+    real_trig_field = checks.trig_field
+    calls = []
+
+    def trig_field_with_nan(*args, **kwargs):
+        f = real_trig_field(*args, **kwargs)
+        if len(calls) == nan_field:
+            f.values[5] = np.nan
+        calls.append(f)
+        return f
+
+    monkeypatch.setattr(checks, "trig_field", trig_field_with_nan)
+    assert run_cli("verify", "--only", "besov") == 1
+    err = capsys.readouterr().err
+    assert "besov_exact_inequalities" in err
+    assert "besov_log_interpolation_ratio" in err
+    assert ("besov_reconstruction" in err) == (nan_field < 10)
+
+
+def test_verify_besov_exact_verdict_reads_entry_flags(capsys, monkeypatch):
+    # a failing entry whose defect is below the absolute 1e-12 (the per-entry
+    # tolerance is relative to the norm) still fails besov_exact_inequalities
+    real_suite = checks.besov_mod.inequality_suite
+
+    def suite_with_failing_entry(fields):
+        report = real_suite(fields)
+        report[3]["pass"] = False
+        return report
+
+    monkeypatch.setattr(checks.besov_mod, "inequality_suite", suite_with_failing_entry)
+    assert run_cli("verify", "--only", "besov") == 1
+    assert "failing checks: besov_exact_inequalities\n" in capsys.readouterr().err
 
 
 def _write_config(path, **overrides):
