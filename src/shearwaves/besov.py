@@ -11,6 +11,7 @@ blocks two or more octaves apart have disjoint supports.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -78,10 +79,15 @@ def q_max_for_grid(grid) -> int:
     return max(0, math.ceil(math.log2(grid.k_max)))
 
 
+@functools.lru_cache(maxsize=32)
 def _cutoffs(grid):
-    """q_values -1..Q and the (Q+2, n/2+1) cutoff multipliers of a grid."""
+    """q_values -1..Q and the (Q+2, n/2+1) cutoff multipliers of a grid,
+    built once per grid (equal grids share them) and read-only."""
     q_values = np.arange(-1, q_max_for_grid(grid) + 1)
-    return q_values, np.vstack([chi_cutoff(grid.k), phi_cutoff(grid.k / 2.0 ** q_values[1:, None])])
+    multipliers = np.vstack([chi_cutoff(grid.k), phi_cutoff(grid.k / 2.0 ** q_values[1:, None])])
+    q_values.setflags(write=False)
+    multipliers.setflags(write=False)
+    return q_values, multipliers
 
 
 def decompose(u: Field) -> DyadicBlocks:

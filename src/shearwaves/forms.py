@@ -24,6 +24,7 @@ from .spectral import Field, Grid, derivative, helmholtz_inverse, sup_norm
 
 __all__ = [
     "ScaleParams",
+    "RateWorkspace",
     "rate_hat",
     "rhs_nonlocal",
     "local_form_terms",
@@ -52,35 +53,83 @@ class ScaleParams:
                 raise ValueError(f"{name} must be positive and finite, got {v!r}")
 
 
-def rate_hat(u_hat: np.ndarray, grid: Grid, g: GeneralCoefficients,
-             mask: np.ndarray) -> np.ndarray:
-    """Half-spectrum du/dt of the nonlocal Cauchy problem from the rfft of u.
+class RateWorkspace:
+    """Buffers that ``rate_hat`` writes into: the (2, bins) complex pair
+    (u_hat, ik u_hat), the (3, n) advection/flux/cubic products and two
+    n-length real scratch arrays, for input spectra of ``bins`` bins."""
+
+    __slots__ = ("pair", "products", "slope2", "scratch")
+
+    def __init__(self, n: int, bins: int):
+        self.pair = np.empty((2, bins), dtype=complex)
+        self.products = np.empty((3, n))
+        self.slope2 = np.empty(n)
+        self.scratch = np.empty(n)
+
+
+def rate_hat(u_hat: np.ndarray, grid: Grid, g: GeneralCoefficients, m: int,
+             out: np.ndarray | None = None, work: RateWorkspace | None = None) -> np.ndarray:
+    """Retained half-spectrum of du/dt of the nonlocal Cauchy problem.
 
     du/dt = -(a1 + a2 u + a3 u^2) u_x
             + (1-dxx)^-1 [ d/dx(sum_i b_i u^i + b7 u_x^2 + b8 u u_x^2) + gamma u_x^3 ]
 
-    u and u_x come back to sample space in one batched irfft; the advection,
-    flux and cubic products are formed there, transformed in one batched
-    rfft, combined with the grid's half-spectrum multipliers and projected
-    onto the retained band by ``mask``: two transform calls per evaluation.
+    ``u_hat`` holds the first len(u_hat) <= n/2+1 rfft bins of u; the bins
+    above are zero.  u and u_x come back to sample space in one batched
+    irfft, the advection, flux and cubic products are formed there and
+    transformed in one batched rfft, and only the first ``m`` bins (the
+    retained band of a dealias policy) are combined with the grid's
+    multipliers: two transform calls per evaluation.  The result is written
+    into ``out`` (length m) and every elementwise step into ``work``; both
+    are allocated when not given.
     """
-    v, vx = np.fft.irfft(np.stack((u_hat, grid.mult_dx * u_hat)), grid.n)
-    slope2 = vx * vx
-    products = np.empty((3, grid.n))
-    products[0] = -(g.alpha1 + g.alpha2 * v + g.alpha3 * v * v) * vx
-    products[1] = v * (g.beta1 + v * (g.beta2 + v * (g.beta3 + v * (g.beta4 + v * (g.beta5 + v * g.beta6)))))
-    products[1] += g.beta7 * slope2 + g.beta8 * v * slope2
-    products[2] = g.gamma * slope2 * vx
-    advection, flux, cubic = np.fft.rfft(products)
-    return mask * (advection + grid.mult_helmholtz_dx * flux + grid.mult_helmholtz * cubic)
+    n = grid.n
+    if work is None:
+        work = RateWorkspace(n, u_hat.shape[-1])
+    if out is None:
+        out = np.empty(m, dtype=complex)
+    pair, products, slope2, tmp = work.pair, work.products, work.slope2, work.scratch
+    pair[0] = u_hat
+    np.multiply(grid.mult_dx[:u_hat.shape[-1]], u_hat, out=pair[1])
+    v, vx = np.fft.irfft(pair, n)
+    np.multiply(vx, vx, out=slope2)
+    advection, flux, cubic = products
+    # -(a1 + a2 v + a3 v^2) vx
+    np.multiply(g.alpha2, v, out=advection)
+    advection += g.alpha1
+    np.multiply(g.alpha3, v, out=tmp)
+    tmp *= v
+    advection += tmp
+    np.negative(advection, out=advection)
+    advection *= vx
+    # v (b1 + v (b2 + v (b3 + v (b4 + v (b5 + v b6))))) + b7 vx^2 + b8 v vx^2
+    np.multiply(v, g.beta6, out=flux)
+    for beta in (g.beta5, g.beta4, g.beta3, g.beta2, g.beta1):
+        flux += beta
+        np.multiply(v, flux, out=flux)
+    np.multiply(g.beta7, slope2, out=cubic)
+    np.multiply(g.beta8, v, out=tmp)
+    tmp *= slope2
+    cubic += tmp
+    flux += cubic
+    # gamma vx^3
+    np.multiply(g.gamma, slope2, out=cubic)
+    cubic *= vx
+    del v, vx  # frees the irfft output before the rfft allocates its own
+    advection_hat, flux_hat, cubic_hat = np.fft.rfft(products)[:, :m]
+    np.multiply(grid.mult_helmholtz_dx[:m], flux_hat, out=out)
+    np.add(advection_hat, out, out=out)
+    np.multiply(grid.mult_helmholtz[:m], cubic_hat, out=cubic_hat)
+    out += cubic_hat
+    return out
 
 
 def rhs_nonlocal(u: Field, g: GeneralCoefficients, dealias_policy: str | None = None) -> Field:
     """du/dt of the nonlocal Cauchy problem in sample space: ``rate_hat``
     between one rfft and one irfft, four transform calls per evaluation.
-    The dealias mask of the policy projects the rate onto the retained band."""
+    The rate keeps only the retained band of the dealias policy."""
     grid = u.grid
-    rate = rate_hat(np.fft.rfft(u.values), grid, g, grid.dealias_mask(dealias_policy))
+    rate = rate_hat(np.fft.rfft(u.values), grid, g, grid.retained_bins(dealias_policy))
     return Field(grid, np.fft.irfft(rate, grid.n))
 
 

@@ -6,8 +6,13 @@ purely imaginary symbol L(k) = ik (beta1/(1+k^2) - alpha1), which the factor
 exp(L dt) advances exactly; RK4 integrates the nonlinear rate only.  The
 smoothing operator caps the nonlinear dispersive multipliers at linear growth
 in |k|, so the CFL bound needs only the nonlinear advection speed,
-max|alpha2 u + alpha3 u^2| + 1.  Each accepted state is projected onto the
-dealiased band of the configured policy.
+max|alpha2 u + alpha3 u^2| + 1.
+
+The state is carried as the m bins of the half-spectrum that the dealias
+policy retains, so every state lies in the dealiased band by construction.
+A ``LawsonRK4`` plan holds what stays fixed over a run (m, the symbol, its
+exponentials for the current step size) and a workspace that ``step_rk4``
+writes every stage into, so a step allocates only the transforms' outputs.
 
 Diagnostics track the wave-breaking criterion: the time integral of the
 squared sup-norm of the slope, accumulated with the trapezoid rule, stays
@@ -17,18 +22,20 @@ can only ever exhibit the signature, not prove blow-up.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
 from .coeffs import GeneralCoefficients
-from .forms import rate_hat, rhs_nonlocal
-from .spectral import Field, Grid, dealias, derivative, sobolev_norm
+from .forms import RateWorkspace, rate_hat, rhs_nonlocal
+from .spectral import Field, Grid, derivative, sobolev_norm
 
 __all__ = [
     "SimConfig",
     "DiagnosticsRecord",
     "Trajectory",
+    "LawsonRK4",
     "step_rk4",
     "integrate",
     "breaking_monitor",
@@ -64,12 +71,14 @@ class SimConfig:
     def __post_init__(self):
         if (self.dt is None) == (self.cfl is None):
             raise ValueError("exactly one of dt / cfl must be specified")
-        if self.dt is not None and not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if self.dt is not None and not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.cfl is not None and not 0 < self.cfl <= 1:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if not self.t_end > 0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
+        if not 0 < self.t_end < math.inf:
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
+        if isinstance(self.snapshot_stride, bool) or not isinstance(self.snapshot_stride, int):
+            raise ValueError(f"snapshot_stride must be an int, got {self.snapshot_stride!r}")
         if self.snapshot_stride < 1:
             raise ValueError(f"snapshot_stride must be >= 1, got {self.snapshot_stride}")
         if self.breaking_stop is not None and not self.breaking_stop < 0:
@@ -107,38 +116,102 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
 
-def step_rk4(u: Field, dt: float, g: GeneralCoefficients, forcing=None,
-             t: float = 0.0, dealias_policy: str | None = None) -> Field:
-    """One Lawson integrating-factor RK4 step; negative dt integrates backwards.
+class LawsonRK4:
+    """The fixed parts of Lawson RK4 steps on one grid, built once per run.
 
-    The state is the rfft half-spectrum w.  With E = exp(mask L dt/2) and N the
-    nonlinear rate (``rate_hat`` with alpha1 = beta1 = 0, plus the forcing, taken
-    once at each of t, t + dt/2 and t + dt), the stages are classical RK4 on
-    exp(-L t) w, so the linear drift is exact at any dt: 10 transform calls per
-    unforced step.  Modes outside the dealias mask see E = 1; the result is masked.
+    Holds the number m of retained bins of the dealias policy (the carried
+    state is the rfft half-spectrum truncated to them), the linear symbol
+    L = beta1 ik/(1+k^2) - alpha1 ik on those bins, the coefficients with
+    alpha1 = beta1 = 0 for the nonlinear rate, the factors exp(L dt/2) and
+    exp(L dt) of the last step size, and the workspace every step writes
+    into: the ``rate_hat`` buffers, the stage rates k1..k4, one stage input
+    and two state buffers that successive steps alternate between.
+    ``forcing`` (t, x) -> array, if given, is added to the rate; its
+    spectrum at a step's end time is kept for the next step starting there.
     """
-    grid = u.grid
-    mask = grid.dealias_mask(dealias_policy)
-    linear = g.beta1 * grid.mult_helmholtz_dx - g.alpha1 * grid.mult_dx
-    e_half = np.exp((0.5 * dt) * (mask * linear))
-    e_full = e_half * e_half
-    g_nonlinear = replace(g, alpha1=0.0, beta1=0.0)
+
+    def __init__(self, grid: Grid, g: GeneralCoefficients, dealias_policy: str | None = None,
+                 forcing=None):
+        self.grid = grid
+        self.m = m = grid.retained_bins(dealias_policy)
+        self.linear = g.beta1 * grid.mult_helmholtz_dx[:m] - g.alpha1 * grid.mult_dx[:m]
+        self.g_nonlinear = replace(g, alpha1=0.0, beta1=0.0)
+        self.forcing = forcing
+        self.work = RateWorkspace(grid.n, m)
+        self.k1, self.k2, self.k3, self.k4, self.stage, *self.states = np.empty((8, m), dtype=complex)
+        self.e_half = np.empty(m, dtype=complex)
+        self.e_full = np.empty(m, dtype=complex)
+        self._dt = None
+        self._forcing_at = (None, None)
+
+    def factors(self, dt: float):
+        """exp(L dt/2) and exp(L dt), recomputed in place only when dt changes."""
+        if dt != self._dt:
+            np.multiply(0.5 * dt, self.linear, out=self.e_half)
+            np.exp(self.e_half, out=self.e_half)
+            np.multiply(self.e_half, self.e_half, out=self.e_full)
+            self._dt = dt
+        return self.e_half, self.e_full
+
+    def forcing_hat(self, t: float):
+        """Retained spectrum of the forcing at t; the last one is reused."""
+        time, f_hat = self._forcing_at
+        if time != t:
+            f_hat = np.fft.rfft(self.forcing(t, self.grid.x))[:self.m]
+            self._forcing_at = (t, f_hat)
+        return f_hat
+
+    def rate(self, w: np.ndarray, out: np.ndarray, t: float) -> np.ndarray:
+        """Nonlinear rate of the retained spectrum w, plus the forcing at t."""
+        rate_hat(w, self.grid, self.g_nonlinear, self.m, out=out, work=self.work)
+        if self.forcing is not None:
+            out += self.forcing_hat(t)
+        return out
+
+
+def step_rk4(plan: LawsonRK4, w: np.ndarray, dt: float, t: float = 0.0) -> np.ndarray:
+    """One Lawson integrating-factor RK4 step of the retained half-spectrum w
+    from t to t + dt; negative dt integrates backwards.
+
+    With E = exp(L dt/2) and N the nonlinear rate (forcing included, taken
+    once at each of t, t + dt/2 and t + dt), the stages are classical RK4 on
+    exp(-L t) w, so the linear drift is exact at any dt: 8 transform calls
+    per unforced step.  Every operation writes into the plan's workspace;
+    the result is the plan's state buffer that does not hold w, valid until
+    the step after next.
+    """
+    e_half, e_full = plan.factors(dt)
+    k1, k2, k3, k4, s = plan.k1, plan.k2, plan.k3, plan.k4, plan.stage
+    w_next = plan.states[1] if w is plan.states[0] else plan.states[0]
     half = 0.5 * dt
-    f0, f_half, f1 = ([None] * 3 if forcing is None else
-                      [np.fft.rfft(forcing(time, grid.x)) for time in (t, t + half, t + dt)])
-
-    def rate(w, f_hat):
-        out = rate_hat(w, grid, g_nonlinear, mask)
-        return out if f_hat is None else out + f_hat
-
-    w = np.fft.rfft(u.values)
-    k1 = rate(w, f0)
-    k2 = rate(e_half * (w + half * k1), f_half)
-    k3 = rate(e_half * w + half * k2, f_half)
-    k4 = rate(e_full * w + dt * (e_half * k3), f1)
-    w_next = (e_full * (w + (dt / 6.0) * k1) + (dt / 3.0) * (e_half * (k2 + k3))
-              + (dt / 6.0) * k4)
-    return Field(grid, np.fft.irfft(mask * w_next, grid.n))
+    plan.rate(w, k1, t)
+    # k2 = N(E (w + dt/2 k1))
+    np.multiply(half, k1, out=s)
+    s += w
+    np.multiply(e_half, s, out=s)
+    plan.rate(s, k2, t + half)
+    # k3 = N(E w + dt/2 k2); k4 holds E w until k4 itself is taken
+    np.multiply(e_half, w, out=k4)
+    np.multiply(half, k2, out=s)
+    np.add(k4, s, out=s)
+    plan.rate(s, k3, t + half)
+    # k4 = N(E^2 w + dt E k3)
+    np.multiply(e_half, k3, out=s)
+    np.multiply(dt, s, out=s)
+    np.multiply(e_full, w, out=k4)
+    np.add(k4, s, out=s)
+    plan.rate(s, k4, t + dt)
+    # E^2 (w + dt/6 k1) + dt/3 E (k2 + k3) + dt/6 k4
+    np.multiply(dt / 6.0, k1, out=w_next)
+    np.add(w, w_next, out=w_next)
+    np.multiply(e_full, w_next, out=w_next)
+    k2 += k3
+    np.multiply(e_half, k2, out=k2)
+    np.multiply(dt / 3.0, k2, out=k2)
+    w_next += k2
+    np.multiply(dt / 6.0, k4, out=k4)
+    w_next += k4
+    return w_next
 
 
 def advection_speed_bound(u: Field, g: GeneralCoefficients) -> float:
@@ -169,11 +242,17 @@ def _diagnose(u: Field, t: float, s: float, prev: DiagnosticsRecord | None) -> D
 
 def integrate(cfg: SimConfig, u0: Field) -> Trajectory:
     """Advance u0 to t_end, or stop early on a breaking threshold or loss of
-    finiteness.  Diagnostics and snapshots every ``snapshot_stride`` steps."""
+    finiteness.  Diagnostics and snapshots every ``snapshot_stride`` steps.
+
+    One ``LawsonRK4`` plan serves the whole run.  The state is carried as its
+    retained half-spectrum: one rfft of u0, then one irfft per step for the
+    values that the CFL bound, the finiteness check and the records read."""
     if u0.grid != cfg.grid:
         raise ValueError("initial data grid does not match the configured grid")
-    g = cfg.coefficients
-    u = u0 if cfg.dealias_policy is None else dealias(u0, cfg.dealias_policy)
+    g, grid = cfg.coefficients, cfg.grid
+    plan = LawsonRK4(grid, g, cfg.dealias_policy, cfg.forcing)
+    w = np.fft.rfft(u0.values)[:plan.m]
+    u = u0 if cfg.dealias_policy is None else Field(grid, np.fft.irfft(w, grid.n))
     t = 0.0
     traj = Trajectory()
 
@@ -191,13 +270,14 @@ def integrate(cfg: SimConfig, u0: Field) -> Trajectory:
         if cfg.dt is not None:
             dt = cfg.dt
         else:
-            dt = cfg.cfl * cfg.grid.dx / (advection_speed_bound(u, g) + 1.0)
+            dt = cfg.cfl * grid.dx / (advection_speed_bound(u, g) + 1.0)
         dt = min(dt, cfg.t_end - t)
-        u_next = step_rk4(u, dt, g, cfg.forcing, t, cfg.dealias_policy)
-        if not np.all(np.isfinite(u_next.values)):
+        w_next = step_rk4(plan, w, dt, t)
+        values = np.fft.irfft(w_next, grid.n)
+        if not np.all(np.isfinite(values)):
             traj.termination = "nonfinite"
             return traj
-        u = u_next
+        w, u = w_next, Field(grid, values)
         t += dt
         step_count += 1
         at_end = t >= cfg.t_end - tiny

@@ -53,6 +53,11 @@ class Grid:
             raise ValueError(f"unknown dealias policy {policy!r}; "
                              f"options: {sorted(DEALIAS_FRACTIONS)}") from None
 
+    def retained_bins(self, policy: str | None) -> int:
+        """Number m of leading half-spectrum bins a dealias policy keeps; the
+        mask is 1 on bins 0..m-1 and 0 above."""
+        return int(np.count_nonzero(self.dealias_mask(policy)))
+
     @cached_property
     def csv_template(self) -> str:
         """Snapshot file text with the x column filled in and one ``%.17g``

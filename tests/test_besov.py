@@ -64,6 +64,20 @@ def test_reconstruction_random_field(grid):
     assert decompose(u).reconstruction_residual() < 1e-10
 
 
+def test_cutoffs_built_once_per_grid_and_read_only(grid):
+    # decompose reuses one cached set of multipliers per grid; a caller
+    # writing into them would change every later decomposition
+    equal_grid = Grid(grid.n, grid.length)
+    first = decompose(Field(grid, np.zeros(grid.n)))
+    second = decompose(Field(equal_grid, np.ones(grid.n)))
+    assert first.multipliers is second.multipliers
+    assert first.q_values is second.q_values
+    with pytest.raises(ValueError):
+        first.multipliers[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        first.q_values[0] = 7
+
+
 def test_blocks_are_real(grid):
     rng = np.random.default_rng(1)
     a, b = random_mode_coefficients(rng, 60)

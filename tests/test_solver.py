@@ -1,13 +1,17 @@
 """Time stepping, diagnostics and the breaking monitor."""
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from shearwaves import solver
 from shearwaves.checks import mms_solution
 from shearwaves.coeffs import GeneralCoefficients, model_coefficients, normalize
 from shearwaves.solver import (
     DIAGNOSTICS_HEADER,
+    LawsonRK4,
     SimConfig,
     advection_speed_bound,
     breaking_monitor,
@@ -20,6 +24,15 @@ from shearwaves.spectral import Field, Grid, random_mode_coefficients, trig_fiel
 CH = GeneralCoefficients(alpha1=0.0, alpha2=1.0, alpha3=0.0, beta1=0.0, beta2=-1.0,
                          beta3=0.0, beta4=0.0, beta5=0.0, beta6=0.0, beta7=-0.5,
                          beta8=0.0, gamma=0.0)
+
+
+def hand_steps(plan, u, dt, nsteps, t=0.0):
+    """Advance u by nsteps plan steps of size dt from t; returns (u, t)."""
+    w = np.fft.rfft(u.values)[:plan.m]
+    for _ in range(nsteps):
+        w = step_rk4(plan, w, dt, t)
+        t += dt
+    return Field(u.grid, np.fft.irfft(w, u.grid.n)), t
 
 
 def linear_subcase(g):
@@ -41,6 +54,27 @@ def test_simconfig_validation():
         SimConfig(grid=grid, coefficients=g, t_end=1.0, cfl=1.5)
     with pytest.raises(ValueError):
         SimConfig(grid=grid, coefficients=g, t_end=1.0, dt=1e-3, snapshot_stride=0)
+
+
+@pytest.mark.parametrize("t_end", [math.inf, math.nan])
+def test_simconfig_rejects_nonfinite_t_end(t_end):
+    # t_end = inf used to make the loop test t < nan and return "completed"
+    # after zero steps
+    with pytest.raises(ValueError):
+        SimConfig(grid=Grid(64, 40.0), coefficients=CH, t_end=t_end, dt=1e-3)
+
+
+@pytest.mark.parametrize("dt", [math.inf, math.nan])
+def test_simconfig_rejects_nonfinite_dt(dt):
+    with pytest.raises(ValueError):
+        SimConfig(grid=Grid(64, 40.0), coefficients=CH, t_end=1.0, dt=dt)
+
+
+@pytest.mark.parametrize("stride", [2.0, 1.5, True, "2"])
+def test_simconfig_rejects_non_int_snapshot_stride(stride):
+    with pytest.raises(ValueError):
+        SimConfig(grid=Grid(64, 40.0), coefficients=CH, t_end=1.0, dt=1e-3,
+                  snapshot_stride=stride)
 
 
 def test_zero_field_stays_zero():
@@ -70,10 +104,7 @@ def test_linear_mode_one_period_amplitude_error():
     u = Field(grid, 0.1 * np.cos(k * grid.x))
     nsteps = int(round(period / 1e-3))
     dt = period / nsteps
-    t = 0.0
-    for _ in range(nsteps):
-        u = step_rk4(u, dt, g_lin, t=t)
-        t += dt
+    u, t = hand_steps(LawsonRK4(grid, g_lin), u, dt, nsteps)
     exact = 0.1 * np.cos(k * grid.x - omega * t)
     assert np.max(np.abs(u.values - exact)) < 1e-8
 
@@ -105,9 +136,75 @@ def test_forcing_called_once_per_stage_time():
         return forcing(t, x)
 
     t, dt = 0.3, 0.01
-    u = step_rk4(Field(grid, u_exact(t, grid.x)), dt, g, recorded, t, "two_thirds")
+    plan = LawsonRK4(grid, g, "two_thirds", recorded)
+    u, _ = hand_steps(plan, Field(grid, u_exact(t, grid.x)), dt, 1, t)
     assert times == [t, t + dt / 2, t + dt]
     assert np.all(np.isfinite(u.values))
+
+
+def test_forced_run_reuses_the_forcing_at_each_step_boundary():
+    # a step's end time t + dt is the next step's start time, the same float,
+    # so k steps take the forcing 2k + 1 times rather than 3k
+    g = normalize(model_coefficients(1.5))
+    grid = Grid(64, 40.0)
+    u_exact, u_exact_t = mms_solution(40.0)
+    forcing = manufactured_forcing(grid, g, u_exact, u_exact_t, "two_thirds")
+    times = []
+
+    def recorded(t, x):
+        times.append(t)
+        return forcing(t, x)
+
+    cfg = SimConfig(grid=grid, coefficients=g, t_end=0.1, dt=0.01, forcing=recorded)
+    traj = integrate(cfg, Field(grid, u_exact(0.0, grid.x)))
+    steps = len(traj.records) - 1
+    assert traj.termination == "completed" and steps == 10
+    assert len(times) == 2 * steps + 1
+    assert len(set(times)) == len(times)
+
+
+def test_warmed_step_allocates_only_transform_outputs():
+    # every elementwise stage operation writes into the plan's workspace; what
+    # a step still allocates is numpy.fft's own outputs, about 4 x 8n bytes at
+    # their peak (the previous stepper's temporaries peaked near 20 x 8n)
+    n = 1024
+    grid = Grid(n, 40.0)
+    plan = LawsonRK4(grid, normalize(model_coefficients(1.5)), "two_thirds")
+    w = np.fft.rfft(0.3 * np.exp(-((grid.x - 20.0) ** 2) / 4.0))[:plan.m]
+    for _ in range(3):
+        w = step_rk4(plan, w, 1e-3, 0.0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        step_rk4(plan, w, 1e-3, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 8 * 8 * n
+
+
+def test_snapshots_share_no_memory(monkeypatch):
+    plans = []
+
+    class Recorded(LawsonRK4):
+        def __init__(self, *args):
+            super().__init__(*args)
+            plans.append(self)
+
+    monkeypatch.setattr(solver, "LawsonRK4", Recorded)
+    grid = Grid(64, 40.0)
+    cfg = SimConfig(grid=grid, coefficients=CH, t_end=0.05, dt=1e-2)
+    traj = integrate(cfg, Field(grid, 0.25 / np.cosh(grid.x - 20.0) ** 2))
+    (plan,) = plans
+    workspace = [plan.work.pair, plan.work.products, plan.work.slope2, plan.work.scratch,
+                 plan.k1, plan.k2, plan.k3, plan.k4, plan.stage, *plan.states,
+                 plan.e_half, plan.e_full]
+    values = [snap.values for snap in traj.snapshots]
+    assert len(values) == 6
+    for i, v in enumerate(values):
+        assert not any(np.shares_memory(v, other) for other in values[i + 1:])
+        assert not any(np.shares_memory(v, buf) for buf in workspace)
 
 
 def test_ch_energy_conservation():
@@ -147,14 +244,10 @@ def test_reversibility_linear_subcase():
     grid = Grid(256, 40.0)
     u = Field(grid, 0.1 * np.cos(2 * np.pi * 3 * grid.x / 40.0))
     orig = u.values.copy()
+    plan = LawsonRK4(grid, g_lin)
     dt, nsteps = 1e-3, 500
-    t = 0.0
-    for _ in range(nsteps):
-        u = step_rk4(u, dt, g_lin, t=t)
-        t += dt
-    for _ in range(nsteps):
-        u = step_rk4(u, -dt, g_lin, t=t)
-        t -= dt
+    u, t = hand_steps(plan, u, dt, nsteps)
+    u, t = hand_steps(plan, u, -dt, nsteps, t)
     assert np.max(np.abs(u.values - orig)) < 1e-8
 
 
@@ -172,12 +265,14 @@ def test_linear_drift_is_exact_at_any_step():
     dt = 0.5
     symbol = g_lin.beta1 * grid.mult_helmholtz_dx - g_lin.alpha1 * grid.mult_dx
     exact = np.fft.irfft(np.exp(symbol * dt) * np.fft.rfft(u.values), grid.n)
-    assert np.max(np.abs(step_rk4(u, dt, g_lin).values - exact)) < 1e-13
+    stepped, _ = hand_steps(LawsonRK4(grid, g_lin), u, dt, 1)
+    assert np.max(np.abs(stepped.values - exact)) < 1e-13
 
 
 def test_linear_step_reverses_exactly():
     g_lin, grid, u = _linear_step_setup()
-    back = step_rk4(step_rk4(u, 0.5, g_lin), -0.5, g_lin, t=0.5)
+    plan = LawsonRK4(grid, g_lin)
+    back, _ = hand_steps(plan, hand_steps(plan, u, 0.5, 1)[0], -0.5, 1, 0.5)
     assert np.max(np.abs(back.values - u.values)) < 1e-13
 
 
