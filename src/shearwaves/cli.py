@@ -126,6 +126,10 @@ def _parse_sweep(arg: str):
 
 
 def cmd_coeffs(args) -> int:
+    if args.sweep is None and args.out is not None:
+        raise ConfigError("--out writes the sweep CSV and needs --sweep")
+    if args.sweep is not None and args.json:
+        raise ConfigError("--json does not apply to --sweep, which writes CSV")
     g = vorticity_coefficients(args.A, "--A")
     if args.sweep is not None:
         header = ["A", "c", "alpha", "beta", "beta0"] + [f"omega{i}" for i in range(1, 8)] \
@@ -261,6 +265,9 @@ def initial_condition(cfg: dict, grid: Grid) -> Field:
     if kind in ("sine", "cosine"):
         wave = np.sin if kind == "sine" else np.cos
         mode = _number(cfg, "mode", 1, integer=True)
+        if not abs(mode) < grid.n // 2:
+            raise ConfigError(f"config: field 'mode' must lie in (-n/2, n/2) = "
+                              f"({-(grid.n // 2)}, {grid.n // 2}), got {mode}")
         return Field(grid, amp * wave(2 * np.pi * mode * x / length))
     if kind in ("sech2", "gaussian"):
         width = _number(cfg, "width", 1.0)

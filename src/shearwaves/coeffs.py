@@ -222,26 +222,6 @@ class GeneralCoefficients(_Record):
     beta8: float
     gamma: float
 
-    @classmethod
-    def from_model(cls, m: ModelCoefficients) -> "GeneralCoefficients":
-        if m.alpha == 0 or m.beta == 0:
-            raise ValueError("degenerate model coefficients: alpha or beta is zero")
-        al, be = m.alpha, m.beta
-        return cls(
-            alpha1=m.beta0 / be,
-            alpha2=1,
-            alpha3=m.omega5 / (al**2 * be),
-            beta1=m.beta0 / be - m.c,
-            beta2=-1,
-            beta3=(m.omega5 - be * m.omega1) / (3 * al**2 * be),
-            beta4=-m.omega2 / (4 * al**3),
-            beta5=-m.omega3 / (5 * al**4),
-            beta6=-m.omega4 / (6 * al**5),
-            beta7=-_half(m.c),
-            beta8=(m.omega7 - 6 * m.omega5) / (2 * al**2 * be),
-            gamma=(2 * (m.omega5 + m.omega6) - m.omega7) / (2 * al**2 * be),
-        )
-
 
 def _half(like):
     """1/2 in the arithmetic of ``like`` (Fraction stays exact)."""
@@ -360,7 +340,23 @@ def derived_intermediates(vorticity: float) -> DerivedIntermediates:
 
 def normalize(m: ModelCoefficients) -> GeneralCoefficients:
     """Map the local-form constants onto the nonlocal-form coefficient set."""
-    return GeneralCoefficients.from_model(m)
+    if m.alpha == 0 or m.beta == 0:
+        raise ValueError("degenerate model coefficients: alpha or beta is zero")
+    al, be = m.alpha, m.beta
+    return GeneralCoefficients(
+        alpha1=m.beta0 / be,
+        alpha2=1,
+        alpha3=m.omega5 / (al**2 * be),
+        beta1=m.beta0 / be - m.c,
+        beta2=-1,
+        beta3=(m.omega5 - be * m.omega1) / (3 * al**2 * be),
+        beta4=-m.omega2 / (4 * al**3),
+        beta5=-m.omega3 / (5 * al**4),
+        beta6=-m.omega4 / (6 * al**5),
+        beta7=-_half(m.c),
+        beta8=(m.omega7 - 6 * m.omega5) / (2 * al**2 * be),
+        gamma=(2 * (m.omega5 + m.omega6) - m.omega7) / (2 * al**2 * be),
+    )
 
 
 @dataclass(frozen=True)

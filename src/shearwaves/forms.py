@@ -68,7 +68,7 @@ class RateWorkspace:
 
 
 def rate_hat(u_hat: np.ndarray, grid: Grid, g: GeneralCoefficients, m: int,
-             out: np.ndarray | None = None, work: RateWorkspace | None = None) -> np.ndarray:
+             out: np.ndarray, work: RateWorkspace) -> np.ndarray:
     """Retained half-spectrum of du/dt of the nonlocal Cauchy problem.
 
     du/dt = -(a1 + a2 u + a3 u^2) u_x
@@ -80,14 +80,10 @@ def rate_hat(u_hat: np.ndarray, grid: Grid, g: GeneralCoefficients, m: int,
     transformed in one batched rfft, and only the first ``m`` bins (the
     retained band of a dealias policy) are combined with the grid's
     multipliers: two transform calls per evaluation.  The result is written
-    into ``out`` (length m) and every elementwise step into ``work``; both
-    are allocated when not given.
+    into the caller's ``out`` (length m) and every elementwise step into the
+    caller's ``work``, sized for len(u_hat) bins.
     """
     n = grid.n
-    if work is None:
-        work = RateWorkspace(n, u_hat.shape[-1])
-    if out is None:
-        out = np.empty(m, dtype=complex)
     pair, products, slope2, tmp = work.pair, work.products, work.slope2, work.scratch
     pair[0] = u_hat
     np.multiply(grid.mult_dx[:u_hat.shape[-1]], u_hat, out=pair[1])
@@ -128,8 +124,9 @@ def rhs_nonlocal(u: Field, g: GeneralCoefficients, dealias_policy: str | None = 
     """du/dt of the nonlocal Cauchy problem in sample space: ``rate_hat``
     between one rfft and one irfft, four transform calls per evaluation.
     The rate keeps only the retained band of the dealias policy."""
-    grid = u.grid
-    rate = rate_hat(np.fft.rfft(u.values), grid, g, grid.retained_bins(dealias_policy))
+    grid, m = u.grid, u.grid.retained_bins(dealias_policy)
+    rate = rate_hat(np.fft.rfft(u.values), grid, g, m, np.empty(m, dtype=complex),
+                    RateWorkspace(grid.n, grid.n // 2 + 1))
     return Field(grid, np.fft.irfft(rate, grid.n))
 
 

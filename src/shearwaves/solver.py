@@ -10,9 +10,10 @@ max|alpha2 u + alpha3 u^2| + 1.
 
 The state is carried as the m bins of the half-spectrum that the dealias
 policy retains, so every state lies in the dealiased band by construction.
-A ``LawsonRK4`` plan holds what stays fixed over a run (m, the symbol, its
-exponentials for the current step size) and a workspace that ``step_rk4``
-writes every stage into, so a step allocates only the transforms' outputs.
+A ``LawsonRK4`` plan holds what stays fixed over a run (m and the symbol) and
+a workspace that ``step_rk4`` writes every stage into, so a step allocates
+only the transforms' outputs.  The caller owns the state: ``step_rk4``
+advances it in place.
 
 Diagnostics track the wave-breaking criterion: the time integral of the
 squared sup-norm of the slope, accumulated with the trapezoid rule, stays
@@ -83,6 +84,7 @@ class SimConfig:
             raise ValueError(f"snapshot_stride must be >= 1, got {self.snapshot_stride}")
         if self.breaking_stop is not None and not self.breaking_stop < 0:
             raise ValueError(f"breaking_stop must be negative, got {self.breaking_stop}")
+        self.grid.retained_bins(self.dealias_policy)
 
 
 @dataclass(frozen=True)
@@ -122,10 +124,9 @@ class LawsonRK4:
     Holds the number m of retained bins of the dealias policy (the carried
     state is the rfft half-spectrum truncated to them), the linear symbol
     L = beta1 ik/(1+k^2) - alpha1 ik on those bins, the coefficients with
-    alpha1 = beta1 = 0 for the nonlinear rate, the factors exp(L dt/2) and
-    exp(L dt) of the last step size, and the workspace every step writes
-    into: the ``rate_hat`` buffers, the stage rates k1..k4, one stage input
-    and two state buffers that successive steps alternate between.
+    alpha1 = beta1 = 0 for the nonlinear rate, and the workspace every step
+    writes into: the ``rate_hat`` buffers, the stage rates k1..k4, one stage
+    input and the factors exp(L dt/2) and exp(L dt) of the current step.
     ``forcing`` (t, x) -> array, if given, is added to the rate; its
     spectrum at a step's end time is kept for the next step starting there.
     """
@@ -138,20 +139,9 @@ class LawsonRK4:
         self.g_nonlinear = replace(g, alpha1=0.0, beta1=0.0)
         self.forcing = forcing
         self.work = RateWorkspace(grid.n, m)
-        self.k1, self.k2, self.k3, self.k4, self.stage, *self.states = np.empty((8, m), dtype=complex)
-        self.e_half = np.empty(m, dtype=complex)
-        self.e_full = np.empty(m, dtype=complex)
-        self._dt = None
+        self.k1, self.k2, self.k3, self.k4, self.stage, self.e_half, self.e_full = \
+            np.empty((7, m), dtype=complex)
         self._forcing_at = (None, None)
-
-    def factors(self, dt: float):
-        """exp(L dt/2) and exp(L dt), recomputed in place only when dt changes."""
-        if dt != self._dt:
-            np.multiply(0.5 * dt, self.linear, out=self.e_half)
-            np.exp(self.e_half, out=self.e_half)
-            np.multiply(self.e_half, self.e_half, out=self.e_full)
-            self._dt = dt
-        return self.e_half, self.e_full
 
     def forcing_hat(self, t: float):
         """Retained spectrum of the forcing at t; the last one is reused."""
@@ -176,14 +166,15 @@ def step_rk4(plan: LawsonRK4, w: np.ndarray, dt: float, t: float = 0.0) -> np.nd
     With E = exp(L dt/2) and N the nonlinear rate (forcing included, taken
     once at each of t, t + dt/2 and t + dt), the stages are classical RK4 on
     exp(-L t) w, so the linear drift is exact at any dt: 8 transform calls
-    per unforced step.  Every operation writes into the plan's workspace;
-    the result is the plan's state buffer that does not hold w, valid until
-    the step after next.
+    per unforced step.  E is computed afresh each step and every operation
+    writes into the plan's workspace; w is advanced in place and returned.
     """
-    e_half, e_full = plan.factors(dt)
+    e_half, e_full = plan.e_half, plan.e_full
     k1, k2, k3, k4, s = plan.k1, plan.k2, plan.k3, plan.k4, plan.stage
-    w_next = plan.states[1] if w is plan.states[0] else plan.states[0]
     half = 0.5 * dt
+    np.multiply(half, plan.linear, out=e_half)
+    np.exp(e_half, out=e_half)
+    np.multiply(e_half, e_half, out=e_full)
     plan.rate(w, k1, t)
     # k2 = N(E (w + dt/2 k1))
     np.multiply(half, k1, out=s)
@@ -201,17 +192,17 @@ def step_rk4(plan: LawsonRK4, w: np.ndarray, dt: float, t: float = 0.0) -> np.nd
     np.multiply(e_full, w, out=k4)
     np.add(k4, s, out=s)
     plan.rate(s, k4, t + dt)
-    # E^2 (w + dt/6 k1) + dt/3 E (k2 + k3) + dt/6 k4
-    np.multiply(dt / 6.0, k1, out=w_next)
-    np.add(w, w_next, out=w_next)
-    np.multiply(e_full, w_next, out=w_next)
+    # w <- E^2 (w + dt/6 k1) + dt/3 E (k2 + k3) + dt/6 k4
+    np.multiply(dt / 6.0, k1, out=k1)
+    np.add(w, k1, out=w)
+    np.multiply(e_full, w, out=w)
     k2 += k3
     np.multiply(e_half, k2, out=k2)
     np.multiply(dt / 3.0, k2, out=k2)
-    w_next += k2
+    w += k2
     np.multiply(dt / 6.0, k4, out=k4)
-    w_next += k4
-    return w_next
+    w += k4
+    return w
 
 
 def advection_speed_bound(u: Field, g: GeneralCoefficients) -> float:
@@ -245,8 +236,9 @@ def integrate(cfg: SimConfig, u0: Field) -> Trajectory:
     finiteness.  Diagnostics and snapshots every ``snapshot_stride`` steps.
 
     One ``LawsonRK4`` plan serves the whole run.  The state is carried as its
-    retained half-spectrum: one rfft of u0, then one irfft per step for the
-    values that the CFL bound, the finiteness check and the records read."""
+    retained half-spectrum in one array that every step advances in place:
+    one rfft of u0, then one irfft per step for the values that the CFL
+    bound, the finiteness check and the records read."""
     if u0.grid != cfg.grid:
         raise ValueError("initial data grid does not match the configured grid")
     g, grid = cfg.coefficients, cfg.grid
@@ -272,12 +264,11 @@ def integrate(cfg: SimConfig, u0: Field) -> Trajectory:
         else:
             dt = cfg.cfl * grid.dx / (advection_speed_bound(u, g) + 1.0)
         dt = min(dt, cfg.t_end - t)
-        w_next = step_rk4(plan, w, dt, t)
-        values = np.fft.irfft(w_next, grid.n)
+        values = np.fft.irfft(step_rk4(plan, w, dt, t), grid.n)
         if not np.all(np.isfinite(values)):
             traj.termination = "nonfinite"
             return traj
-        w, u = w_next, Field(grid, values)
+        u = Field(grid, values)
         t += dt
         step_count += 1
         at_end = t >= cfg.t_end - tiny

@@ -1,8 +1,8 @@
 """Periodic grid, spectral differentiation and the smoothing operator (1 - dxx)^-1.
 
 The operators apply half-spectrum (``rfft``) multipliers cached on ``Grid``,
-built on ``Grid.k``, the ``rfft`` wavenumbers 0..k_max.  A Field holds no
-derived state, only its grid and its values.
+built on ``Grid.k``, the ``rfft`` wavenumbers 0..k_max; ``dealias`` keeps the
+leading bins a policy retains.  A Field holds only its grid and its values.
 """
 from __future__ import annotations
 
@@ -42,21 +42,19 @@ class Grid:
         self.mult_dx[-1] = 0.0
         self.mult_helmholtz = 1.0 / (1.0 + k**2)
         self.mult_helmholtz_dx = self.mult_dx / (1.0 + k**2)
-        self.dealias_masks = {policy: (k <= fraction * self.k_max).astype(float)
-                              for policy, fraction in {None: np.inf, **DEALIAS_FRACTIONS}.items()}
-
-    def dealias_mask(self, policy: str | None) -> np.ndarray:
-        """0/1 half-spectrum mask of a dealias policy; None keeps every mode."""
-        try:
-            return self.dealias_masks[policy]
-        except KeyError:
-            raise ValueError(f"unknown dealias policy {policy!r}; "
-                             f"options: {sorted(DEALIAS_FRACTIONS)}") from None
+        # the retained band of each dealias policy: bins 0..m-1, |k| <= fraction k_max
+        self.dealias_bins = {policy: int(np.count_nonzero(k <= fraction * self.k_max))
+                             for policy, fraction in {None: np.inf, **DEALIAS_FRACTIONS}.items()}
 
     def retained_bins(self, policy: str | None) -> int:
-        """Number m of leading half-spectrum bins a dealias policy keeps; the
-        mask is 1 on bins 0..m-1 and 0 above."""
-        return int(np.count_nonzero(self.dealias_mask(policy)))
+        """Number m of leading half-spectrum bins a dealias policy keeps; None
+        keeps every bin.  The one check of a policy: any other value, an
+        unhashable one included, raises ValueError."""
+        try:
+            return self.dealias_bins[policy]
+        except (KeyError, TypeError):
+            raise ValueError(f"unknown dealias policy {policy!r}; "
+                             f"options: {sorted(DEALIAS_FRACTIONS)}") from None
 
     @cached_property
     def csv_template(self) -> str:
@@ -118,9 +116,10 @@ def helmholtz_inverse_dx(f: Field) -> Field:
 
 
 def dealias(f: Field, policy: str | None = "two_thirds") -> Field:
-    """Zero every mode with |k| above the policy fraction of the Nyquist
-    wavenumber; None keeps every mode."""
-    return _apply_multiplier(f, f.grid.dealias_mask(policy))
+    """Truncate the half-spectrum to the bins the policy retains (|k| up to
+    the policy fraction of the Nyquist wavenumber); None keeps every mode."""
+    grid = f.grid
+    return Field(grid, np.fft.irfft(np.fft.rfft(f.values)[:grid.retained_bins(policy)], grid.n))
 
 
 def sup_norm(f: Field) -> float:

@@ -268,6 +268,13 @@ def test_simulate_breaking_flag_in_manifest(tmp_path):
     # a misspelt optional field would otherwise run silently at its default
     pytest.param(lambda c: c.update({"sobolev": 3.0, "snapshot-stride": 1}),
                  "config: unknown fields ['snapshot-stride', 'sobolev']", id="unknown-fields"),
+    # a mode at or past n/2 aliases: n/2 samples as zero, 200 on n = 256 runs as -56
+    pytest.param(lambda c: c.update(initial="sine", n=256, mode=128),
+                 "'mode' must lie in (-n/2, n/2) = (-128, 128), got 128", id="mode-nyquist"),
+    pytest.param(lambda c: c.update(initial="sine", n=256, mode=200),
+                 "'mode' must lie in (-n/2, n/2) = (-128, 128), got 200", id="mode-aliased"),
+    pytest.param(lambda c: c.update(initial="cosine", mode=-64),
+                 "'mode' must lie in (-n/2, n/2) = (-64, 64), got -64", id="mode-negative"),
 ])
 def test_simulate_config_errors(tmp_path, capsys, mutate, message_part):
     cfg_path = tmp_path / "bad.json"
@@ -310,6 +317,11 @@ def _simulate_into_file(tmp_path):
                  id="convergence-A-overflow"),
     pytest.param(lambda d: ["coeffs", "--sweep", "1:1e20:3"], "--sweep hi = 1e+20 is too large",
                  id="coeffs-sweep-overflow"),
+    # flags that would otherwise be ignored: --out writes only a sweep, a sweep only CSV
+    pytest.param(lambda d: ["coeffs", "--A", "1.5", "--out", str(d / "x.csv")],
+                 "--out writes the sweep CSV and needs --sweep", id="coeffs-out-without-sweep"),
+    pytest.param(lambda d: ["coeffs", "--sweep", "0.1:1:3", "--json"],
+                 "--json does not apply to --sweep", id="coeffs-sweep-json"),
     # unwritable output paths: a directory where a file goes, a file where
     # the run directory goes
     pytest.param(lambda d: ["coeffs", "--sweep", "1:2:3", "--out", str(d)], "cannot write",
@@ -331,6 +343,7 @@ def test_bad_command_line_input(tmp_path, capsys, monkeypatch, argv, message_par
     assert message_part in capsys.readouterr().err
     if (tmp_path / "taken").exists():
         assert (tmp_path / "taken").read_text() == "keep"
+    assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("order, ratio, code", [

@@ -7,7 +7,6 @@ import pytest
 
 from shearwaves.coeffs import (
     DerivedIntermediates,
-    GeneralCoefficients,
     ModelCoefficients,
     burns_speed,
     derived_intermediates,
@@ -133,7 +132,7 @@ def test_omega_matches_expanded_b_list(a):
 
 def test_normalize_c1_values():
     m = ModelCoefficients.from_speed(F(1))
-    g = GeneralCoefficients.from_model(m)
+    g = normalize(m)
     assert g.alpha3 == -F(24, 5)
     assert g.alpha2 == 1
     assert g.beta2 == -1

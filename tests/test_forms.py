@@ -111,8 +111,8 @@ def test_rhs_matches_raw_fft_composition(grid, policy):
 
 @pytest.mark.parametrize("policy", [None, "two_thirds", "strong"])
 def test_rate_hat_workspace_is_bitwise_neutral(grid, policy):
-    # the time step passes preallocated buffers, rhs_nonlocal none; a reused
-    # workspace holding an earlier call's data must not change the result
+    # the time step reuses one workspace, rhs_nonlocal passes fresh buffers;
+    # a reused workspace holding an earlier call's data must not change the result
     rng = np.random.default_rng(21)
     names = [f.name for f in dataclasses.fields(GeneralCoefficients)]
     g = GeneralCoefficients(**dict(zip(names, rng.uniform(-1.0, 1.0, 12))))
@@ -121,7 +121,7 @@ def test_rate_hat_workspace_is_bitwise_neutral(grid, policy):
     out = np.empty(m, dtype=complex)
     for _ in range(3):
         u_hat = np.fft.rfft(trig_field(grid, *random_mode_coefficients(rng, 16), amplitude=0.6).values)[:m]
-        fresh = rate_hat(u_hat, grid, g, m)
+        fresh = rate_hat(u_hat, grid, g, m, np.empty(m, dtype=complex), RateWorkspace(grid.n, m))
         reused = rate_hat(u_hat, grid, g, m, out=out, work=work)
         assert reused is out
         assert fresh.shape == (m,)
@@ -151,8 +151,8 @@ def test_oracles_ignore_cached_multipliers():
     garbage = np.random.default_rng(15)
     for name in ("mult_dx", "mult_helmholtz", "mult_helmholtz_dx"):
         setattr(grid, name, garbage.standard_normal(grid.n // 2 + 1) * 1j)
-    grid.dealias_masks = {policy: garbage.standard_normal(grid.n // 2 + 1)
-                          for policy in grid.dealias_masks}
+    grid.dealias_bins = {policy: int(garbage.integers(1, grid.n // 2 + 1))
+                         for policy in grid.dealias_bins}
     grid.k = garbage.standard_normal(grid.n // 2 + 1)
     after = evaluate()
     assert np.max(np.abs(after[0] - before[0])) > 1e-3

@@ -54,6 +54,11 @@ def test_simconfig_validation():
         SimConfig(grid=grid, coefficients=g, t_end=1.0, cfl=1.5)
     with pytest.raises(ValueError):
         SimConfig(grid=grid, coefficients=g, t_end=1.0, dt=1e-3, snapshot_stride=0)
+    # an unknown or unhashable dealias policy fails here, not when integrate plans the run
+    with pytest.raises(ValueError):
+        SimConfig(grid=grid, coefficients=g, t_end=1.0, dt=1e-3, dealias_policy="off")
+    with pytest.raises(ValueError):
+        SimConfig(grid=grid, coefficients=g, t_end=1.0, dt=1e-3, dealias_policy=["two_thirds"])
 
 
 @pytest.mark.parametrize("t_end", [math.inf, math.nan])
@@ -184,6 +189,16 @@ def test_warmed_step_allocates_only_transform_outputs():
     assert peak - base <= 8 * 8 * n
 
 
+def test_step_advances_the_state_in_place():
+    # the caller owns the state array: a step writes the next state into it
+    grid = Grid(64, 40.0)
+    plan = LawsonRK4(grid, CH, "two_thirds")
+    w = np.fft.rfft(0.25 / np.cosh(grid.x - 20.0) ** 2)[:plan.m]
+    before = w.copy()
+    assert step_rk4(plan, w, 1e-2, 0.0) is w
+    assert not np.array_equal(w, before)
+
+
 def test_snapshots_share_no_memory(monkeypatch):
     plans = []
 
@@ -198,7 +213,7 @@ def test_snapshots_share_no_memory(monkeypatch):
     traj = integrate(cfg, Field(grid, 0.25 / np.cosh(grid.x - 20.0) ** 2))
     (plan,) = plans
     workspace = [plan.work.pair, plan.work.products, plan.work.slope2, plan.work.scratch,
-                 plan.k1, plan.k2, plan.k3, plan.k4, plan.stage, *plan.states,
+                 plan.k1, plan.k2, plan.k3, plan.k4, plan.stage,
                  plan.e_half, plan.e_full]
     values = [snap.values for snap in traj.snapshots]
     assert len(values) == 6
