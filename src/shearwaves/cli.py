@@ -130,6 +130,8 @@ def cmd_coeffs(args) -> int:
         raise ConfigError("--out writes the sweep CSV and needs --sweep")
     if args.sweep is not None and args.json:
         raise ConfigError("--json does not apply to --sweep, which writes CSV")
+    if args.out is not None:
+        _check_writable(args.out)
     g = vorticity_coefficients(args.A, "--A")
     if args.sweep is not None:
         header = ["A", "c", "alpha", "beta", "beta0"] + [f"omega{i}" for i in range(1, 8)] \
@@ -406,6 +408,8 @@ def write_run_outputs(outdir: Path, cfg: dict, sim: SimConfig, provenance: dict,
         "termination": traj.termination,
         "breaking_verdict": breaking_monitor(traj.records),
         "records": len(traj.records),
+        "steps": traj.steps,
+        "rejected_steps": traj.rejected_steps,
         "wall_time_s": wall_time,
         "dispersion_note": DISPERSION_NOTE,
     }

@@ -55,13 +55,15 @@ class ScaleParams:
 
 class RateWorkspace:
     """Buffers that ``rate_hat`` writes into: the (2, bins) complex pair
-    (u_hat, ik u_hat), the (3, n) advection/flux/cubic products and two
-    n-length real scratch arrays, for input spectra of ``bins`` bins."""
+    (u_hat, ik u_hat), the (2, n) samples (u, u_x) of the last input, the
+    (3, n) advection/flux/cubic products and two n-length real scratch
+    arrays, for input spectra of ``bins`` bins."""
 
-    __slots__ = ("pair", "products", "slope2", "scratch")
+    __slots__ = ("pair", "values", "products", "slope2", "scratch")
 
     def __init__(self, n: int, bins: int):
         self.pair = np.empty((2, bins), dtype=complex)
+        self.values = np.empty((2, n))
         self.products = np.empty((3, n))
         self.slope2 = np.empty(n)
         self.scratch = np.empty(n)
@@ -81,13 +83,15 @@ def rate_hat(u_hat: np.ndarray, grid: Grid, g: GeneralCoefficients, m: int,
     retained band of a dealias policy) are combined with the grid's
     multipliers: two transform calls per evaluation.  The result is written
     into the caller's ``out`` (length m) and every elementwise step into the
-    caller's ``work``, sized for len(u_hat) bins.
+    caller's ``work``, sized for len(u_hat) bins; ``work.values`` keeps the
+    samples (u, u_x) of ``u_hat`` until the next call.
     """
     n = grid.n
     pair, products, slope2, tmp = work.pair, work.products, work.slope2, work.scratch
     pair[0] = u_hat
     np.multiply(grid.mult_dx[:u_hat.shape[-1]], u_hat, out=pair[1])
-    v, vx = np.fft.irfft(pair, n)
+    np.copyto(work.values, np.fft.irfft(pair, n))
+    v, vx = work.values
     np.multiply(vx, vx, out=slope2)
     advection, flux, cubic = products
     # -(a1 + a2 v + a3 v^2) vx
@@ -111,7 +115,6 @@ def rate_hat(u_hat: np.ndarray, grid: Grid, g: GeneralCoefficients, m: int,
     # gamma vx^3
     np.multiply(g.gamma, slope2, out=cubic)
     cubic *= vx
-    del v, vx  # frees the irfft output before the rfft allocates its own
     advection_hat, flux_hat, cubic_hat = np.fft.rfft(products)[:, :m]
     np.multiply(grid.mult_helmholtz_dx[:m], flux_hat, out=out)
     np.add(advection_hat, out, out=out)

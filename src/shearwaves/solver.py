@@ -5,15 +5,19 @@ Lawson's integrating-factor RK4 (J. D. Lawson 1967, SIAM J. Numer. Anal.
 purely imaginary symbol L(k) = ik (beta1/(1+k^2) - alpha1), which the factor
 exp(L dt) advances exactly; RK4 integrates the nonlinear rate only.  The
 smoothing operator caps the nonlinear dispersive multipliers at linear growth
-in |k|, so the CFL bound needs only the nonlinear advection speed,
-max|alpha2 u + alpha3 u^2| + 1.
+in |k|, so the stability cap of a CFL step needs only the nonlinear advection
+speed: dt <= cfl dx / max|alpha2 u + alpha3 u^2|.  Below the cap the step
+follows the embedded RK4(3) estimate of the interaction picture (Balac & Mahe
+2013, Comput. Phys. Commun. 184:1211) under the standard controller (Hairer,
+Norsett & Wanner, Solving ODEs I, II.4).
 
 The state is carried as the m bins of the half-spectrum that the dealias
 policy retains, so every state lies in the dealiased band by construction.
 A ``LawsonRK4`` plan holds what stays fixed over a run (m and the symbol) and
 a workspace that ``step_rk4`` writes every stage into, so a step allocates
 only the transforms' outputs.  The caller owns the state: ``step_rk4``
-advances it in place.
+advances it in place and ends with the rate at its result, the next step's
+first stage ("first same as last", FSAL) and the estimate's fifth.
 
 Diagnostics track the wave-breaking criterion: the time integral of the
 squared sup-norm of the slope, accumulated with the trapezoid rule, stays
@@ -108,6 +112,8 @@ class Trajectory:
     snapshots: list = dataclass_field(default_factory=list)
     records: list = dataclass_field(default_factory=list)
     termination: str = "completed"
+    steps: int = 0
+    rejected_steps: int = 0
 
     def final(self) -> Field:
         return self.snapshots[-1]
@@ -125,8 +131,9 @@ class LawsonRK4:
     state is the rfft half-spectrum truncated to them), the linear symbol
     L = beta1 ik/(1+k^2) - alpha1 ik on those bins, the coefficients with
     alpha1 = beta1 = 0 for the nonlinear rate, and the workspace every step
-    writes into: the ``rate_hat`` buffers, the stage rates k1..k4, one stage
-    input and the factors exp(L dt/2) and exp(L dt) of the current step.
+    writes into: the ``rate_hat`` buffers, the stage rates k1..k4 and
+    ``k_end`` (at the result), the start state ``w_start``, one stage input
+    and the factors exp(L dt/2) and exp(L dt) of the current step.
     ``forcing`` (t, x) -> array, if given, is added to the rate; its
     spectrum at a step's end time is kept for the next step starting there.
     """
@@ -139,8 +146,8 @@ class LawsonRK4:
         self.g_nonlinear = replace(g, alpha1=0.0, beta1=0.0)
         self.forcing = forcing
         self.work = RateWorkspace(grid.n, m)
-        self.k1, self.k2, self.k3, self.k4, self.stage, self.e_half, self.e_full = \
-            np.empty((7, m), dtype=complex)
+        (self.k1, self.k2, self.k3, self.k4, self.k_end, self.w_start, self.stage,
+         self.e_half, self.e_full) = np.empty((9, m), dtype=complex)
         self._forcing_at = (None, None)
 
     def forcing_hat(self, t: float):
@@ -158,16 +165,32 @@ class LawsonRK4:
             out += self.forcing_hat(t)
         return out
 
+    def error(self, w: np.ndarray, dt: float) -> float:
+        """Embedded RK4(3) estimate of the last step's error relative to its
+        result w, (|dt|/10) ||k4 - k_end||_2 / ||w||_2: the third-order
+        weights of k4 and k_end are 1/15 and 1/10 where RK4's are 1/6 and 0."""
+        np.subtract(self.k4, self.k_end, out=self.stage)
+        gap = np.vdot(self.stage, self.stage).real
+        if gap == 0.0:
+            return 0.0
+        size = np.vdot(w, w).real
+        return abs(dt) / 10.0 * math.sqrt(gap / size) if size > 0.0 else math.inf
 
-def step_rk4(plan: LawsonRK4, w: np.ndarray, dt: float, t: float = 0.0) -> np.ndarray:
+
+def step_rk4(plan: LawsonRK4, w: np.ndarray, dt: float, t: float = 0.0,
+             fsal: bool = False) -> np.ndarray:
     """One Lawson integrating-factor RK4 step of the retained half-spectrum w
     from t to t + dt; negative dt integrates backwards.
 
     With E = exp(L dt/2) and N the nonlinear rate (forcing included, taken
     once at each of t, t + dt/2 and t + dt), the stages are classical RK4 on
-    exp(-L t) w, so the linear drift is exact at any dt: 8 transform calls
-    per unforced step.  E is computed afresh each step and every operation
-    writes into the plan's workspace; w is advanced in place and returned.
+    exp(-L t) w, so the linear drift is exact at any dt.  ``fsal`` says that
+    ``plan.k1`` already holds N(w, t), the previous step's ``k_end``;
+    without it k1 is evaluated here.  The step copies w to ``plan.w_start``,
+    leaves k1 and k4 intact and ends with ``plan.k_end`` = N(w_new, t + dt):
+    8 transform calls per unforced step with ``fsal``.  E is computed afresh
+    each step and every operation writes into the plan's workspace; w is
+    advanced in place and returned.
     """
     e_half, e_full = plan.e_half, plan.e_full
     k1, k2, k3, k4, s = plan.k1, plan.k2, plan.k3, plan.k4, plan.stage
@@ -175,7 +198,9 @@ def step_rk4(plan: LawsonRK4, w: np.ndarray, dt: float, t: float = 0.0) -> np.nd
     np.multiply(half, plan.linear, out=e_half)
     np.exp(e_half, out=e_half)
     np.multiply(e_half, e_half, out=e_full)
-    plan.rate(w, k1, t)
+    if not fsal:
+        plan.rate(w, k1, t)
+    np.copyto(plan.w_start, w)
     # k2 = N(E (w + dt/2 k1))
     np.multiply(half, k1, out=s)
     s += w
@@ -193,15 +218,16 @@ def step_rk4(plan: LawsonRK4, w: np.ndarray, dt: float, t: float = 0.0) -> np.nd
     np.add(k4, s, out=s)
     plan.rate(s, k4, t + dt)
     # w <- E^2 (w + dt/6 k1) + dt/3 E (k2 + k3) + dt/6 k4
-    np.multiply(dt / 6.0, k1, out=k1)
-    np.add(w, k1, out=w)
+    np.multiply(dt / 6.0, k1, out=s)
+    np.add(w, s, out=w)
     np.multiply(e_full, w, out=w)
     k2 += k3
     np.multiply(e_half, k2, out=k2)
     np.multiply(dt / 3.0, k2, out=k2)
     w += k2
-    np.multiply(dt / 6.0, k4, out=k4)
-    w += k4
+    np.multiply(dt / 6.0, k4, out=s)
+    w += s
+    plan.rate(w, plan.k_end, t + dt)
     return w
 
 
@@ -218,7 +244,8 @@ def _diagnose(u: Field, t: float, s: float, prev: DiagnosticsRecord | None) -> D
     integral = 0.0 if prev is None else prev.breaking_integral
     if prev is not None:
         prev_slope = max(abs(prev.min_ux), abs(prev.max_ux))
-        integral += 0.5 * (t - prev.t) * (prev_slope**2 + slope_sup**2)
+        # float ** raises OverflowError past about 1.3e154; * gives inf
+        integral += 0.5 * (t - prev.t) * (prev_slope * prev_slope + slope_sup * slope_sup)
     return DiagnosticsRecord(
         t=t,
         sup_u=float(np.max(np.abs(u.values))),
@@ -231,20 +258,45 @@ def _diagnose(u: Field, t: float, s: float, prev: DiagnosticsRecord | None) -> D
     )
 
 
+# error control of CFL steps (see ``integrate``)
+STEP_TOLERANCE = 1e-8
+STEP_SAFETY = 0.9
+STEP_FACTOR_MIN = 0.2
+STEP_FACTOR_MAX = 2.0
+
+
+def _step_factor(err: float) -> float:
+    """Ratio of the next step size to the last: 0.9 (tol/err)^(1/4) clamped
+    to [0.2, 2]; a non-finite estimate takes the smallest factor."""
+    if err == 0.0:
+        return STEP_FACTOR_MAX
+    factor = STEP_SAFETY * (STEP_TOLERANCE / err) ** 0.25
+    return min(factor, STEP_FACTOR_MAX) if factor > STEP_FACTOR_MIN else STEP_FACTOR_MIN
+
+
 def integrate(cfg: SimConfig, u0: Field) -> Trajectory:
     """Advance u0 to t_end, or stop early on a breaking threshold or loss of
-    finiteness.  Diagnostics and snapshots every ``snapshot_stride`` steps.
+    finiteness.  Diagnostics and snapshots every ``snapshot_stride`` accepted
+    steps.
 
     One ``LawsonRK4`` plan serves the whole run.  The state is carried as its
     retained half-spectrum in one array that every step advances in place:
-    one rfft of u0, then one irfft per step for the values that the CFL
-    bound, the finiteness check and the records read."""
+    one rfft of u0 and one rate evaluation, then 8 transform calls per
+    attempted step, whose last rate evaluation also gives the values that the
+    CFL bound, the finiteness check and the records read.
+
+    A CFL step is the smaller of the stability cap at the state it starts
+    from and the last step size times ``_step_factor`` of its error estimate
+    (at first the cap, or cfl dx at zero speed).  A step whose estimate
+    exceeds ``STEP_TOLERANCE`` is undone, k1 kept, and retried smaller."""
     if u0.grid != cfg.grid:
         raise ValueError("initial data grid does not match the configured grid")
     g, grid = cfg.coefficients, cfg.grid
     plan = LawsonRK4(grid, g, cfg.dealias_policy, cfg.forcing)
     w = np.fft.rfft(u0.values)[:plan.m]
-    u = u0 if cfg.dealias_policy is None else Field(grid, np.fft.irfft(w, grid.n))
+    plan.rate(w, plan.k1, 0.0)
+    values = plan.work.values[0]
+    u = u0 if cfg.dealias_policy is None else Field(grid, values.copy())
     t = 0.0
     traj = Trajectory()
 
@@ -255,25 +307,36 @@ def integrate(cfg: SimConfig, u0: Field) -> Trajectory:
         traj.snapshots.append(state)
         return rec
 
+    def stability_cap(state):
+        speed = advection_speed_bound(state, g)
+        return cfg.cfl * grid.dx / speed if speed > 0 else math.inf
+
     rec = record(u, t)
-    step_count = 0
     tiny = 1e-12 * cfg.t_end
+    if cfg.cfl is not None:
+        cap = stability_cap(u)
+        proposal = cap if cap < math.inf else cfg.cfl * grid.dx
     while t < cfg.t_end - tiny:
-        if cfg.dt is not None:
-            dt = cfg.dt
-        else:
-            dt = cfg.cfl * grid.dx / (advection_speed_bound(u, g) + 1.0)
+        dt = cfg.dt if cfg.dt is not None else min(proposal, cap)
         dt = min(dt, cfg.t_end - t)
-        values = np.fft.irfft(step_rk4(plan, w, dt, t), grid.n)
+        step_rk4(plan, w, dt, t, fsal=True)
         if not np.all(np.isfinite(values)):
             traj.termination = "nonfinite"
             return traj
-        u = Field(grid, values)
+        if cfg.cfl is not None:
+            err = plan.error(w, dt)
+            proposal = dt * _step_factor(err)
+            if not err <= STEP_TOLERANCE:
+                np.copyto(w, plan.w_start)
+                traj.rejected_steps += 1
+                continue
+            cap = stability_cap(Field(grid, values))
+        plan.k1, plan.k_end = plan.k_end, plan.k1
         t += dt
-        step_count += 1
+        traj.steps += 1
         at_end = t >= cfg.t_end - tiny
-        if step_count % cfg.snapshot_stride == 0 or at_end:
-            rec = record(u, t)
+        if traj.steps % cfg.snapshot_stride == 0 or at_end:
+            rec = record(Field(grid, values.copy()), t)
             if cfg.breaking_stop is not None and rec.min_ux <= cfg.breaking_stop:
                 traj.termination = "breaking_detected"
                 return traj

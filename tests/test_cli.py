@@ -163,6 +163,7 @@ def test_readme_run_configuration_runs(tmp_path):
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["termination"] == "completed"
     assert manifest["records"] == 11
+    assert manifest["steps"] == 500 and manifest["rejected_steps"] == 0
     assert len((outdir / "diagnostics.csv").read_text().splitlines()) == 1 + 11
 
 
@@ -228,6 +229,9 @@ def test_simulate_breaking_flag_in_manifest(tmp_path):
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["termination"] == "breaking_detected"
     assert manifest["breaking_verdict"] == "breaking_signature"
+    # a CFL run counts its accepted and rejected steps; the stop falls on a record
+    assert manifest["steps"] == 10 * (manifest["records"] - 1)
+    assert manifest["rejected_steps"] >= 0
 
 
 @pytest.mark.parametrize("mutate, message_part", [
@@ -324,7 +328,7 @@ def _simulate_into_file(tmp_path):
                  "--json does not apply to --sweep", id="coeffs-sweep-json"),
     # unwritable output paths: a directory where a file goes, a file where
     # the run directory goes
-    pytest.param(lambda d: ["coeffs", "--sweep", "1:2:3", "--out", str(d)], "cannot write",
+    pytest.param(lambda d: ["coeffs", "--sweep", "1e-3:10:100", "--out", str(d)], "cannot write",
                  id="coeffs-out-directory"),
     pytest.param(lambda d: ["verify", "--only", "rescale", "--json", str(d)], "cannot write",
                  id="verify-json-directory"),
@@ -339,6 +343,7 @@ def test_bad_command_line_input(tmp_path, capsys, monkeypatch, argv, message_par
     monkeypatch.setattr(cli, "integrate", no_work)
     monkeypatch.setattr(cli, "temporal_order", no_work)
     monkeypatch.setitem(cli.SUITES, "rescale", no_work)
+    monkeypatch.setattr(cli, "identity_suite", no_work)
     assert run_cli(*argv(tmp_path)) == 2
     assert message_part in capsys.readouterr().err
     if (tmp_path / "taken").exists():

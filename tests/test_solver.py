@@ -9,6 +9,7 @@ import pytest
 from shearwaves import solver
 from shearwaves.checks import mms_solution
 from shearwaves.coeffs import GeneralCoefficients, model_coefficients, normalize
+from shearwaves.forms import rate_hat
 from shearwaves.solver import (
     DIAGNOSTICS_HEADER,
     LawsonRK4,
@@ -27,10 +28,12 @@ CH = GeneralCoefficients(alpha1=0.0, alpha2=1.0, alpha3=0.0, beta1=0.0, beta2=-1
 
 
 def hand_steps(plan, u, dt, nsteps, t=0.0):
-    """Advance u by nsteps plan steps of size dt from t; returns (u, t)."""
+    """Advance u by nsteps plan steps of size dt from t, each step starting
+    from the last one's end rate as ``integrate`` does; returns (u, t)."""
     w = np.fft.rfft(u.values)[:plan.m]
-    for _ in range(nsteps):
-        w = step_rk4(plan, w, dt, t)
+    for i in range(nsteps):
+        w = step_rk4(plan, w, dt, t, fsal=i > 0)
+        plan.k1, plan.k_end = plan.k_end, plan.k1
         t += dt
     return Field(u.grid, np.fft.irfft(w, u.grid.n)), t
 
@@ -212,9 +215,9 @@ def test_snapshots_share_no_memory(monkeypatch):
     cfg = SimConfig(grid=grid, coefficients=CH, t_end=0.05, dt=1e-2)
     traj = integrate(cfg, Field(grid, 0.25 / np.cosh(grid.x - 20.0) ** 2))
     (plan,) = plans
-    workspace = [plan.work.pair, plan.work.products, plan.work.slope2, plan.work.scratch,
-                 plan.k1, plan.k2, plan.k3, plan.k4, plan.stage,
-                 plan.e_half, plan.e_full]
+    workspace = [plan.work.pair, plan.work.values, plan.work.products, plan.work.slope2,
+                 plan.work.scratch, plan.k1, plan.k2, plan.k3, plan.k4, plan.k_end,
+                 plan.w_start, plan.stage, plan.e_half, plan.e_full]
     values = [snap.values for snap in traj.snapshots]
     assert len(values) == 6
     for i, v in enumerate(values):
@@ -305,6 +308,101 @@ def test_cfl_mode_advances_to_t_end():
     traj = integrate(cfg, u0)
     assert traj.termination == "completed"
     assert traj.records[-1].t == pytest.approx(0.3, abs=1e-10)
+
+
+def test_fixed_step_run_reuses_the_last_rate_as_the_next_first_stage(monkeypatch):
+    # FSAL: one rate evaluation before the first step, then four per step
+    # (k2, k3, k4 and the rate at the result, which is the next step's k1)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return rate_hat(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "rate_hat", counted)
+    grid = Grid(64, 40.0)
+    cfg = SimConfig(grid=grid, coefficients=CH, t_end=0.1, dt=0.01)
+    traj = integrate(cfg, Field(grid, 0.25 / np.cosh(grid.x - 20.0) ** 2))
+    assert traj.steps == 10 and traj.rejected_steps == 0
+    assert len(calls) == 1 + 4 * traj.steps
+
+
+def _sine_cfl_run(**overrides):
+    grid = Grid(512, 40.0)
+    u0 = Field(grid, -1.5 * np.sin(2 * np.pi * grid.x / 40.0))
+    cfg = SimConfig(grid=grid, coefficients=CH, t_end=1.0, cfl=0.5, snapshot_stride=1)
+    return integrate(dataclasses.replace(cfg, **overrides), u0)
+
+
+def test_cfl_steps_stay_below_the_stability_cap():
+    traj = _sine_cfl_run()
+    assert traj.termination == "completed"
+    assert traj.steps == len(traj.records) - 1
+    dx = traj.snapshots[0].grid.dx
+    ratios = [(b.t - a.t) / (0.5 * dx / advection_speed_bound(u, CH))
+              for a, b, u in zip(traj.records, traj.records[1:], traj.snapshots)]
+    # t is a running sum, so a step read back from it carries round-off
+    assert max(ratios) <= 1.0 + 1e-12
+    assert sum(r > 1.0 - 1e-9 for r in ratios) > len(ratios) // 2  # the cap binds
+
+
+def test_rejected_step_is_retried_from_the_same_state(monkeypatch):
+    attempts = []
+
+    def recorded(plan, w, dt, t=0.0, fsal=False):
+        attempts.append((t, dt, w.copy()))
+        return step_rk4(plan, w, dt, t, fsal)
+
+    monkeypatch.setattr(solver, "step_rk4", recorded)
+    monkeypatch.setattr(solver, "STEP_TOLERANCE", 1e-13)
+    traj = _sine_cfl_run(t_end=0.1)
+    assert traj.termination == "completed"
+    assert traj.records[-1].t == pytest.approx(0.1, abs=1e-12)
+    retries = [(a, b) for a, b in zip(attempts, attempts[1:]) if a[0] == b[0]]
+    assert len(retries) == traj.rejected_steps >= 1
+    assert len(attempts) == traj.steps + traj.rejected_steps
+    for (t, dt, w), (t_retry, dt_retry, w_retry) in retries:
+        assert np.array_equal(w_retry, w)
+        assert dt_retry < dt
+    # every accepted step moved t forward and was recorded
+    assert [r.t for r in traj.records[1:]] == sorted({r.t for r in traj.records[1:]})
+
+
+def test_zero_field_reaches_t_end_in_cfl_mode():
+    # zero speed: no stability cap, so the controller starts from cfl dx and
+    # doubles the step while the estimate reads 0
+    grid = Grid(64, 40.0)
+    cfg = SimConfig(grid=grid, coefficients=normalize(model_coefficients(1.5)),
+                    t_end=1.0, cfl=0.5)
+    traj = integrate(cfg, Field(grid, np.zeros(grid.n)))
+    assert traj.termination == "completed"
+    assert [r.t for r in traj.records] == [0.0, 0.3125, 0.9375, 1.0]
+    assert traj.rejected_steps == 0
+
+
+def test_readme_config_cfl_run_matches_a_fine_fixed_step():
+    # the README run at cfl 0.5 against a fixed step of t_end/1000 (equal to
+    # one of t_end/8000 within 6e-13); the error control holds the gap near
+    # 2e-8, and a cap of cfl dx / (speed + 1) would leave 2e-6
+    grid = Grid(256, 40.0)
+    u0 = Field(grid, 0.25 / np.cosh(grid.x - 20.0) ** 2)
+    cfg = SimConfig(grid=grid, coefficients=normalize(model_coefficients(1.5)),
+                    t_end=1.0, cfl=0.5, snapshot_stride=10**9)
+    adaptive = integrate(cfg, u0).final().values
+    fine = integrate(dataclasses.replace(cfg, cfl=None, dt=1e-3), u0).final().values
+    assert np.max(np.abs(adaptive - fine)) < 1e-7 * np.max(np.abs(fine))
+
+
+def test_diagnose_squares_a_huge_finite_slope_without_overflow():
+    # a finite slope above 1.3e154 squares to inf, where float ** would raise
+    grid = Grid(64, 40.0)
+    u = Field(grid, 1e154 * np.sin(2 * np.pi * grid.x / 40.0) * 40.0)
+    prev = solver.DiagnosticsRecord(t=0.0, sup_u=1.0, min_ux=-2e154, max_ux=2e154, h1=1.0,
+                                    hs=1.0, breaking_integral=1.0, ch_energy=1.0)
+    with np.errstate(over="ignore"):
+        rec = solver._diagnose(u, 0.1, 1.5, prev)
+    assert abs(rec.min_ux) > 1.3e154 and math.isfinite(rec.min_ux)
+    assert rec.breaking_integral == math.inf
 
 
 def test_nonfinite_detection():
