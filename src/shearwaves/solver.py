@@ -21,9 +21,11 @@ first stage ("first same as last", FSAL) and the estimate's fifth.
 
 Diagnostics track the wave-breaking criterion: the time integral of the
 squared sup-norm of the slope, accumulated with the trapezoid rule, stays
-finite exactly while the solution persists.  ``breaking_monitor`` looks for
-the finite-time signature (slope blow-up at bounded amplitude); a simulation
-can only ever exhibit the signature, not prove blow-up.
+finite exactly while the solution persists.  A record reads the step's
+samples (u, u_x) and carried spectrum, so it takes no transform.
+``breaking_monitor`` looks for the finite-time signature (slope blow-up at
+bounded amplitude); a simulation can only ever exhibit the signature, not
+prove blow-up.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ import numpy as np
 
 from .coeffs import GeneralCoefficients
 from .forms import RateWorkspace, rate_hat, rhs_nonlocal
-from .spectral import Field, Grid, derivative, sobolev_norm
+from .spectral import Field, Grid, sobolev_norm
 
 __all__ = [
     "SimConfig",
@@ -88,6 +90,8 @@ class SimConfig:
             raise ValueError(f"snapshot_stride must be >= 1, got {self.snapshot_stride}")
         if self.breaking_stop is not None and not self.breaking_stop < 0:
             raise ValueError(f"breaking_stop must be negative, got {self.breaking_stop}")
+        if not -math.inf < self.sobolev_s < math.inf:
+            raise ValueError(f"sobolev_s must be finite, got {self.sobolev_s}")
         self.grid.retained_bins(self.dealias_policy)
 
 
@@ -238,8 +242,11 @@ def advection_speed_bound(u: Field, g: GeneralCoefficients) -> float:
     return float(np.max(np.abs(g.alpha2 * v + g.alpha3 * v * v)))
 
 
-def _diagnose(u: Field, t: float, s: float, prev: DiagnosticsRecord | None) -> DiagnosticsRecord:
-    ux = derivative(u).values
+def _diagnose(plan: LawsonRK4, w: np.ndarray, t: float, s: float,
+              prev: DiagnosticsRecord | None) -> DiagnosticsRecord:
+    """Record of w from the samples (u, u_x) its rate left in ``plan.work``."""
+    grid = plan.grid
+    u, ux = plan.work.values
     slope_sup = float(np.max(np.abs(ux)))
     integral = 0.0 if prev is None else prev.breaking_integral
     if prev is not None:
@@ -248,13 +255,13 @@ def _diagnose(u: Field, t: float, s: float, prev: DiagnosticsRecord | None) -> D
         integral += 0.5 * (t - prev.t) * (prev_slope * prev_slope + slope_sup * slope_sup)
     return DiagnosticsRecord(
         t=t,
-        sup_u=float(np.max(np.abs(u.values))),
+        sup_u=float(np.max(np.abs(u))),
         min_ux=float(np.min(ux)),
         max_ux=float(np.max(ux)),
-        h1=sobolev_norm(u, 1.0),
-        hs=sobolev_norm(u, s),
+        h1=sobolev_norm(grid, w, 1.0),
+        hs=sobolev_norm(grid, w, s),
         breaking_integral=integral,
-        ch_energy=float(u.grid.dx * np.sum(u.values**2 + ux**2)),
+        ch_energy=float(grid.dx * np.sum(u**2 + ux**2)),
     )
 
 
@@ -282,8 +289,9 @@ def integrate(cfg: SimConfig, u0: Field) -> Trajectory:
     One ``LawsonRK4`` plan serves the whole run.  The state is carried as its
     retained half-spectrum in one array that every step advances in place:
     one rfft of u0 and one rate evaluation, then 8 transform calls per
-    attempted step, whose last rate evaluation also gives the values that the
-    CFL bound, the finiteness check and the records read.
+    attempted step, whose last rate evaluation also gives the samples (u, u_x)
+    that the CFL bound, the finiteness check and the records read; records
+    take no transform, and every snapshot, the first included, is irfft(w).
 
     A CFL step is the smaller of the stability cap at the state it starts
     from and the last step size times ``_step_factor`` of its error estimate
@@ -296,25 +304,24 @@ def integrate(cfg: SimConfig, u0: Field) -> Trajectory:
     w = np.fft.rfft(u0.values)[:plan.m]
     plan.rate(w, plan.k1, 0.0)
     values = plan.work.values[0]
-    u = u0 if cfg.dealias_policy is None else Field(grid, values.copy())
     t = 0.0
     traj = Trajectory()
 
-    def record(state, time):
+    def record(time):
         prev = traj.records[-1] if traj.records else None
-        rec = _diagnose(state, time, cfg.sobolev_s, prev)
+        rec = _diagnose(plan, w, time, cfg.sobolev_s, prev)
         traj.records.append(rec)
-        traj.snapshots.append(state)
+        traj.snapshots.append(Field(grid, values.copy()))
         return rec
 
-    def stability_cap(state):
-        speed = advection_speed_bound(state, g)
+    def stability_cap():
+        speed = advection_speed_bound(Field(grid, values), g)
         return cfg.cfl * grid.dx / speed if speed > 0 else math.inf
 
-    rec = record(u, t)
+    record(t)
     tiny = 1e-12 * cfg.t_end
     if cfg.cfl is not None:
-        cap = stability_cap(u)
+        cap = stability_cap()
         proposal = cap if cap < math.inf else cfg.cfl * grid.dx
     while t < cfg.t_end - tiny:
         dt = cfg.dt if cfg.dt is not None else min(proposal, cap)
@@ -330,13 +337,13 @@ def integrate(cfg: SimConfig, u0: Field) -> Trajectory:
                 np.copyto(w, plan.w_start)
                 traj.rejected_steps += 1
                 continue
-            cap = stability_cap(Field(grid, values))
+            cap = stability_cap()
         plan.k1, plan.k_end = plan.k_end, plan.k1
         t += dt
         traj.steps += 1
         at_end = t >= cfg.t_end - tiny
         if traj.steps % cfg.snapshot_stride == 0 or at_end:
-            rec = record(Field(grid, values.copy()), t)
+            rec = record(t)
             if cfg.breaking_stop is not None and rec.min_ux <= cfg.breaking_stop:
                 traj.termination = "breaking_detected"
                 return traj

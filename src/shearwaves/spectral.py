@@ -126,17 +126,19 @@ def sup_norm(f: Field) -> float:
     return float(np.max(np.abs(f.values)))
 
 
-def sobolev_norm(f: Field, s: float) -> float:
-    """H^s norm from the spectrum: sqrt(L * sum (1+k^2)^s |hat|^2) over all
-    bins, with hat = rfft(u)/n; every half-spectrum bin but the mean and the
-    Nyquist bin stands for itself and its conjugate.
+def sobolev_norm(grid: Grid, u_hat: np.ndarray, s: float) -> float:
+    """H^s norm of the field whose rfft half-spectrum starts with the m <=
+    n/2+1 bins ``u_hat`` (the bins above are zero): sqrt(L * sum (1+k^2)^s
+    |hat|^2) over all bins, with hat = u_hat/n.  Every bin but the mean, and
+    the Nyquist bin when m = n/2+1, stands for itself and its conjugate.
 
     Normalized so that s = 0 reproduces the L^2 quadrature norm and s = 1
     squares to the energy integral of u^2 + u_x^2.
     """
-    g = f.grid
-    power = (1.0 + g.k**2) ** s * np.abs(np.fft.rfft(f.values) / g.n) ** 2
-    return float(np.sqrt(g.length * (2.0 * np.sum(power) - power[0] - power[-1])))
+    m = u_hat.shape[-1]
+    power = (1.0 + grid.k[:m]**2) ** s * np.abs(u_hat / grid.n) ** 2
+    nyquist = power[-1] if m == grid.k.size else 0.0
+    return float(np.sqrt(grid.length * (2.0 * np.sum(power) - power[0] - nyquist)))
 
 
 def random_mode_coefficients(rng, max_mode: int, decay: float = 0.3):

@@ -20,7 +20,14 @@ from shearwaves.solver import (
     manufactured_forcing,
     step_rk4,
 )
-from shearwaves.spectral import Field, Grid, random_mode_coefficients, trig_field
+from shearwaves.spectral import (
+    Field,
+    Grid,
+    derivative,
+    random_mode_coefficients,
+    sobolev_norm,
+    trig_field,
+)
 
 CH = GeneralCoefficients(alpha1=0.0, alpha2=1.0, alpha3=0.0, beta1=0.0, beta2=-1.0,
                          beta3=0.0, beta4=0.0, beta5=0.0, beta6=0.0, beta7=-0.5,
@@ -76,6 +83,13 @@ def test_simconfig_rejects_nonfinite_t_end(t_end):
 def test_simconfig_rejects_nonfinite_dt(dt):
     with pytest.raises(ValueError):
         SimConfig(grid=Grid(64, 40.0), coefficients=CH, t_end=1.0, dt=dt)
+
+
+@pytest.mark.parametrize("s", [math.inf, math.nan])
+def test_simconfig_rejects_nonfinite_sobolev_s(s):
+    # a non-finite index used to run to "completed" with an hs column of nan
+    with pytest.raises(ValueError):
+        SimConfig(grid=Grid(64, 40.0), coefficients=CH, t_end=1.0, dt=1e-3, sobolev_s=s)
 
 
 @pytest.mark.parametrize("stride", [2.0, 1.5, True, "2"])
@@ -202,7 +216,9 @@ def test_step_advances_the_state_in_place():
     assert not np.array_equal(w, before)
 
 
-def test_snapshots_share_no_memory(monkeypatch):
+@pytest.mark.parametrize("policy", [None, "two_thirds"])
+def test_snapshots_share_no_memory(monkeypatch, policy):
+    # with dealias None the first snapshot used to be the caller's u0 itself
     plans = []
 
     class Recorded(LawsonRK4):
@@ -212,12 +228,13 @@ def test_snapshots_share_no_memory(monkeypatch):
 
     monkeypatch.setattr(solver, "LawsonRK4", Recorded)
     grid = Grid(64, 40.0)
-    cfg = SimConfig(grid=grid, coefficients=CH, t_end=0.05, dt=1e-2)
-    traj = integrate(cfg, Field(grid, 0.25 / np.cosh(grid.x - 20.0) ** 2))
+    cfg = SimConfig(grid=grid, coefficients=CH, t_end=0.05, dt=1e-2, dealias_policy=policy)
+    u0 = Field(grid, 0.25 / np.cosh(grid.x - 20.0) ** 2)
+    traj = integrate(cfg, u0)
     (plan,) = plans
     workspace = [plan.work.pair, plan.work.values, plan.work.products, plan.work.slope2,
                  plan.work.scratch, plan.k1, plan.k2, plan.k3, plan.k4, plan.k_end,
-                 plan.w_start, plan.stage, plan.e_half, plan.e_full]
+                 plan.w_start, plan.stage, plan.e_half, plan.e_full, u0.values]
     values = [snap.values for snap in traj.snapshots]
     assert len(values) == 6
     for i, v in enumerate(values):
@@ -327,6 +344,29 @@ def test_fixed_step_run_reuses_the_last_rate_as_the_next_first_stage(monkeypatch
     assert len(calls) == 1 + 4 * traj.steps
 
 
+def test_records_take_no_transform(monkeypatch):
+    # a record reads the samples of the step's end rate and the carried
+    # spectrum, so 11 records cost the same transforms as 2
+    counts = []
+    for stride in (1, 10**9):
+        calls = []
+        for name in ("rfft", "irfft"):
+            original = getattr(np.fft, name)
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        grid = Grid(64, 40.0)
+        cfg = SimConfig(grid=grid, coefficients=CH, t_end=0.1, dt=0.01, snapshot_stride=stride)
+        traj = integrate(cfg, Field(grid, 0.25 / np.cosh(grid.x - 20.0) ** 2))
+        monkeypatch.undo()
+        counts.append((len(traj.records), len(calls)))
+    assert [records for records, _ in counts] == [11, 2]
+    assert counts[0][1] == counts[1][1]
+
+
 def _sine_cfl_run(**overrides):
     grid = Grid(512, 40.0)
     u0 = Field(grid, -1.5 * np.sin(2 * np.pi * grid.x / 40.0))
@@ -344,6 +384,20 @@ def test_cfl_steps_stay_below_the_stability_cap():
     # t is a running sum, so a step read back from it carries round-off
     assert max(ratios) <= 1.0 + 1e-12
     assert sum(r > 1.0 - 1e-9 for r in ratios) > len(ratios) // 2  # the cap binds
+
+
+def test_records_describe_the_snapshot_beside_them():
+    traj = _sine_cfl_run()
+    assert len(traj.records) == len(traj.snapshots) == traj.steps + 1
+    for rec, snap in zip(traj.records, traj.snapshots):
+        ux = derivative(snap).values
+        slope = np.max(np.abs(ux))
+        assert rec.sup_u == np.max(np.abs(snap.values))
+        assert abs(rec.min_ux - np.min(ux)) <= 1e-12 * slope
+        assert abs(rec.max_ux - np.max(ux)) <= 1e-12 * slope
+        u_hat = np.fft.rfft(snap.values)
+        assert rec.h1 == pytest.approx(sobolev_norm(snap.grid, u_hat, 1.0), rel=1e-12)
+        assert rec.hs == pytest.approx(sobolev_norm(snap.grid, u_hat, 1.5), rel=1e-12)
 
 
 def test_rejected_step_is_retried_from_the_same_state(monkeypatch):
@@ -396,11 +450,13 @@ def test_readme_config_cfl_run_matches_a_fine_fixed_step():
 def test_diagnose_squares_a_huge_finite_slope_without_overflow():
     # a finite slope above 1.3e154 squares to inf, where float ** would raise
     grid = Grid(64, 40.0)
-    u = Field(grid, 1e154 * np.sin(2 * np.pi * grid.x / 40.0) * 40.0)
+    plan = LawsonRK4(grid, CH)
+    w = np.fft.rfft(1e154 * np.sin(2 * np.pi * grid.x / 40.0) * 40.0)
     prev = solver.DiagnosticsRecord(t=0.0, sup_u=1.0, min_ux=-2e154, max_ux=2e154, h1=1.0,
                                     hs=1.0, breaking_integral=1.0, ch_energy=1.0)
-    with np.errstate(over="ignore"):
-        rec = solver._diagnose(u, 0.1, 1.5, prev)
+    with np.errstate(over="ignore", invalid="ignore"):
+        plan.rate(w, plan.k1, 0.0)
+        rec = solver._diagnose(plan, w, 0.1, 1.5, prev)
     assert abs(rec.min_ux) > 1.3e154 and math.isfinite(rec.min_ux)
     assert rec.breaking_integral == math.inf
 
