@@ -15,9 +15,10 @@ The state is carried as the m bins of the half-spectrum that the dealias
 policy retains, so every state lies in the dealiased band by construction.
 A ``LawsonRK4`` plan holds what stays fixed over a run (m and the symbol) and
 a workspace that ``step_rk4`` writes every stage into, so a step allocates
-only the transforms' outputs.  The caller owns the state: ``step_rk4``
-advances it in place and ends with the rate at its result, the next step's
-first stage ("first same as last", FSAL) and the estimate's fifth.
+only the transforms' outputs.  The caller owns the state, which ``step_rk4``
+advances in place.  A primed plan describes the state w at t: ``plan.k1`` is
+N(w, t), the next step's first stage ("first same as last", FSAL) and the
+estimate's fifth, and ``plan.work.values`` holds its samples (u, u_x).
 
 Diagnostics track the wave-breaking criterion: the time integral of the
 squared sup-norm of the slope, accumulated with the trapezoid rule, stays
@@ -90,6 +91,8 @@ class SimConfig:
             raise ValueError(f"snapshot_stride must be >= 1, got {self.snapshot_stride}")
         if self.breaking_stop is not None and not self.breaking_stop < 0:
             raise ValueError(f"breaking_stop must be negative, got {self.breaking_stop}")
+        if self.breaking_stop == -math.inf:
+            raise ValueError("breaking_stop must be finite, got -inf")
         if not -math.inf < self.sobolev_s < math.inf:
             raise ValueError(f"sobolev_s must be finite, got {self.sobolev_s}")
         self.grid.retained_bins(self.dealias_policy)
@@ -135,9 +138,9 @@ class LawsonRK4:
     state is the rfft half-spectrum truncated to them), the linear symbol
     L = beta1 ik/(1+k^2) - alpha1 ik on those bins, the coefficients with
     alpha1 = beta1 = 0 for the nonlinear rate, and the workspace every step
-    writes into: the ``rate_hat`` buffers, the stage rates k1..k4 and
-    ``k_end`` (at the result), the start state ``w_start``, one stage input
-    and the factors exp(L dt/2) and exp(L dt) of the current step.
+    writes into: the ``rate_hat`` buffers, the stage rates k1..k4, the start
+    state ``w_start``, one stage input and the factors exp(L dt/2) and
+    exp(L dt) of the current step, all NaN until a rate primes k1.
     ``forcing`` (t, x) -> array, if given, is added to the rate; its
     spectrum at a step's end time is kept for the next step starting there.
     """
@@ -150,8 +153,8 @@ class LawsonRK4:
         self.g_nonlinear = replace(g, alpha1=0.0, beta1=0.0)
         self.forcing = forcing
         self.work = RateWorkspace(grid.n, m)
-        (self.k1, self.k2, self.k3, self.k4, self.k_end, self.w_start, self.stage,
-         self.e_half, self.e_full) = np.empty((9, m), dtype=complex)
+        (self.k1, self.k2, self.k3, self.k4, self.w_start, self.stage,
+         self.e_half, self.e_full) = np.full((8, m), np.nan, dtype=complex)
         self._forcing_at = (None, None)
 
     def forcing_hat(self, t: float):
@@ -171,9 +174,9 @@ class LawsonRK4:
 
     def error(self, w: np.ndarray, dt: float) -> float:
         """Embedded RK4(3) estimate of the last step's error relative to its
-        result w, (|dt|/10) ||k4 - k_end||_2 / ||w||_2: the third-order
-        weights of k4 and k_end are 1/15 and 1/10 where RK4's are 1/6 and 0."""
-        np.subtract(self.k4, self.k_end, out=self.stage)
+        result w, (|dt|/10) ||k4 - k1||_2 / ||w||_2 with k1 = N(w): the
+        third-order weights of k4 and N(w) are 1/15 and 1/10, RK4's 1/6 and 0."""
+        np.subtract(self.k4, self.k1, out=self.stage)
         gap = np.vdot(self.stage, self.stage).real
         if gap == 0.0:
             return 0.0
@@ -181,20 +184,19 @@ class LawsonRK4:
         return abs(dt) / 10.0 * math.sqrt(gap / size) if size > 0.0 else math.inf
 
 
-def step_rk4(plan: LawsonRK4, w: np.ndarray, dt: float, t: float = 0.0,
-             fsal: bool = False) -> np.ndarray:
+def step_rk4(plan: LawsonRK4, w: np.ndarray, dt: float, t: float = 0.0) -> np.ndarray:
     """One Lawson integrating-factor RK4 step of the retained half-spectrum w
     from t to t + dt; negative dt integrates backwards.
 
     With E = exp(L dt/2) and N the nonlinear rate (forcing included, taken
     once at each of t, t + dt/2 and t + dt), the stages are classical RK4 on
-    exp(-L t) w, so the linear drift is exact at any dt.  ``fsal`` says that
-    ``plan.k1`` already holds N(w, t), the previous step's ``k_end``;
-    without it k1 is evaluated here.  The step copies w to ``plan.w_start``,
-    leaves k1 and k4 intact and ends with ``plan.k_end`` = N(w_new, t + dt):
-    8 transform calls per unforced step with ``fsal``.  E is computed afresh
-    each step and every operation writes into the plan's workspace; w is
-    advanced in place and returned.
+    exp(-L t) w, so the linear drift is exact at any dt.  Precondition:
+    ``plan.k1`` holds N(w, t), as the last step or ``plan.rate(w, plan.k1,
+    t)`` leaves it.  The step copies w to ``plan.w_start``, leaves k4 intact
+    and writes N(w_new, t + dt) into k1, its samples into ``plan.work``: 8
+    transform calls per unforced step.  E is computed afresh each step and
+    every operation writes into the plan's workspace; w is advanced in place
+    and returned.
     """
     e_half, e_full = plan.e_half, plan.e_full
     k1, k2, k3, k4, s = plan.k1, plan.k2, plan.k3, plan.k4, plan.stage
@@ -202,8 +204,6 @@ def step_rk4(plan: LawsonRK4, w: np.ndarray, dt: float, t: float = 0.0,
     np.multiply(half, plan.linear, out=e_half)
     np.exp(e_half, out=e_half)
     np.multiply(e_half, e_half, out=e_full)
-    if not fsal:
-        plan.rate(w, k1, t)
     np.copyto(plan.w_start, w)
     # k2 = N(E (w + dt/2 k1))
     np.multiply(half, k1, out=s)
@@ -231,14 +231,13 @@ def step_rk4(plan: LawsonRK4, w: np.ndarray, dt: float, t: float = 0.0,
     w += k2
     np.multiply(dt / 6.0, k4, out=s)
     w += s
-    plan.rate(w, plan.k_end, t + dt)
+    plan.rate(w, k1, t + dt)
     return w
 
 
-def advection_speed_bound(u: Field, g: GeneralCoefficients) -> float:
-    """CFL speed max|alpha2 u + alpha3 u^2|; alpha1 is part of the linear
-    drift, which the step advances exactly."""
-    v = u.values
+def advection_speed_bound(v: np.ndarray, g: GeneralCoefficients) -> float:
+    """CFL speed max|alpha2 v + alpha3 v^2| of the samples v; alpha1 is part
+    of the linear drift, which the step advances exactly."""
     return float(np.max(np.abs(g.alpha2 * v + g.alpha3 * v * v)))
 
 
@@ -295,8 +294,8 @@ def integrate(cfg: SimConfig, u0: Field) -> Trajectory:
 
     A CFL step is the smaller of the stability cap at the state it starts
     from and the last step size times ``_step_factor`` of its error estimate
-    (at first the cap, or cfl dx at zero speed).  A step whose estimate
-    exceeds ``STEP_TOLERANCE`` is undone, k1 kept, and retried smaller."""
+    (at first the cap, or cfl dx at zero speed).  A step past
+    ``STEP_TOLERANCE`` is retried smaller from ``plan.w_start``, k1 re-primed."""
     if u0.grid != cfg.grid:
         raise ValueError("initial data grid does not match the configured grid")
     g, grid = cfg.coefficients, cfg.grid
@@ -315,7 +314,7 @@ def integrate(cfg: SimConfig, u0: Field) -> Trajectory:
         return rec
 
     def stability_cap():
-        speed = advection_speed_bound(Field(grid, values), g)
+        speed = advection_speed_bound(values, g)
         return cfg.cfl * grid.dx / speed if speed > 0 else math.inf
 
     record(t)
@@ -326,7 +325,7 @@ def integrate(cfg: SimConfig, u0: Field) -> Trajectory:
     while t < cfg.t_end - tiny:
         dt = cfg.dt if cfg.dt is not None else min(proposal, cap)
         dt = min(dt, cfg.t_end - t)
-        step_rk4(plan, w, dt, t, fsal=True)
+        step_rk4(plan, w, dt, t)
         if not np.all(np.isfinite(values)):
             traj.termination = "nonfinite"
             return traj
@@ -335,10 +334,10 @@ def integrate(cfg: SimConfig, u0: Field) -> Trajectory:
             proposal = dt * _step_factor(err)
             if not err <= STEP_TOLERANCE:
                 np.copyto(w, plan.w_start)
+                plan.rate(w, plan.k1, t)
                 traj.rejected_steps += 1
                 continue
             cap = stability_cap()
-        plan.k1, plan.k_end = plan.k_end, plan.k1
         t += dt
         traj.steps += 1
         at_end = t >= cfg.t_end - tiny

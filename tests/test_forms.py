@@ -170,6 +170,7 @@ def test_advection_translates_at_alpha1():
                                 beta6=0.0, beta7=0.0, beta8=0.0, gamma=0.0)
     plan = LawsonRK4(grid, g_lin)
     w = np.fft.rfft(0.3 * np.exp(-((grid.x - 10.0) ** 2) / 4.0))
+    plan.rate(w, plan.k1, 0.0)
     t, dt = 0.0, 1e-3
     while t < 1.0 - 1e-12:
         w = step_rk4(plan, w, dt, t)

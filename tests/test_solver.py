@@ -35,12 +35,13 @@ CH = GeneralCoefficients(alpha1=0.0, alpha2=1.0, alpha3=0.0, beta1=0.0, beta2=-1
 
 
 def hand_steps(plan, u, dt, nsteps, t=0.0):
-    """Advance u by nsteps plan steps of size dt from t, each step starting
-    from the last one's end rate as ``integrate`` does; returns (u, t)."""
+    """Advance u by nsteps plan steps of size dt from t, priming the plan's
+    k1 once as ``integrate`` does; each step leaves k1 at its result for the
+    next.  Returns (u, t)."""
     w = np.fft.rfft(u.values)[:plan.m]
-    for i in range(nsteps):
-        w = step_rk4(plan, w, dt, t, fsal=i > 0)
-        plan.k1, plan.k_end = plan.k_end, plan.k1
+    plan.rate(w, plan.k1, t)
+    for _ in range(nsteps):
+        w = step_rk4(plan, w, dt, t)
         t += dt
     return Field(u.grid, np.fft.irfft(w, u.grid.n)), t
 
@@ -90,6 +91,13 @@ def test_simconfig_rejects_nonfinite_sobolev_s(s):
     # a non-finite index used to run to "completed" with an hs column of nan
     with pytest.raises(ValueError):
         SimConfig(grid=Grid(64, 40.0), coefficients=CH, t_end=1.0, dt=1e-3, sobolev_s=s)
+
+
+@pytest.mark.parametrize("stop", [-math.inf, math.nan])
+def test_simconfig_rejects_nonfinite_breaking_stop(stop):
+    # min u_x never reaches -inf, so a stop there could never end the run
+    with pytest.raises(ValueError):
+        SimConfig(grid=Grid(64, 40.0), coefficients=CH, t_end=1.0, dt=1e-3, breaking_stop=stop)
 
 
 @pytest.mark.parametrize("stride", [2.0, 1.5, True, "2"])
@@ -193,6 +201,7 @@ def test_warmed_step_allocates_only_transform_outputs():
     grid = Grid(n, 40.0)
     plan = LawsonRK4(grid, normalize(model_coefficients(1.5)), "two_thirds")
     w = np.fft.rfft(0.3 * np.exp(-((grid.x - 20.0) ** 2) / 4.0))[:plan.m]
+    plan.rate(w, plan.k1, 0.0)
     for _ in range(3):
         w = step_rk4(plan, w, 1e-3, 0.0)
     tracemalloc.start()
@@ -211,9 +220,20 @@ def test_step_advances_the_state_in_place():
     grid = Grid(64, 40.0)
     plan = LawsonRK4(grid, CH, "two_thirds")
     w = np.fft.rfft(0.25 / np.cosh(grid.x - 20.0) ** 2)[:plan.m]
+    plan.rate(w, plan.k1, 0.0)
     before = w.copy()
     assert step_rk4(plan, w, 1e-2, 0.0) is w
     assert not np.array_equal(w, before)
+
+
+def test_unprimed_step_returns_nan():
+    # k1 is taken before the first step, never inside it; a plan whose k1
+    # was never primed holds NaN, so forgetting the priming cannot pass unseen
+    grid = Grid(64, 40.0)
+    plan = LawsonRK4(grid, CH, "two_thirds")
+    w = np.fft.rfft(0.25 / np.cosh(grid.x - 20.0) ** 2)[:plan.m]
+    step_rk4(plan, w, 1e-2, 0.0)
+    assert np.all(np.isnan(w.real)) and np.all(np.isnan(w.imag))
 
 
 @pytest.mark.parametrize("policy", [None, "two_thirds"])
@@ -233,8 +253,8 @@ def test_snapshots_share_no_memory(monkeypatch, policy):
     traj = integrate(cfg, u0)
     (plan,) = plans
     workspace = [plan.work.pair, plan.work.values, plan.work.products, plan.work.slope2,
-                 plan.work.scratch, plan.k1, plan.k2, plan.k3, plan.k4, plan.k_end,
-                 plan.w_start, plan.stage, plan.e_half, plan.e_full, u0.values]
+                 plan.work.scratch, plan.k1, plan.k2, plan.k3, plan.k4, plan.w_start,
+                 plan.stage, plan.e_half, plan.e_full, u0.values]
     values = [snap.values for snap in traj.snapshots]
     assert len(values) == 6
     for i, v in enumerate(values):
@@ -314,7 +334,7 @@ def test_linear_step_reverses_exactly():
 def test_advection_speed_bound_excludes_linear_drift():
     g = normalize(model_coefficients(1.5))
     assert g.alpha1 > 1.0
-    assert advection_speed_bound(Field(Grid(64, 40.0), np.zeros(64)), g) == 0.0
+    assert advection_speed_bound(np.zeros(64), g) == 0.0
 
 
 def test_cfl_mode_advances_to_t_end():
@@ -379,7 +399,7 @@ def test_cfl_steps_stay_below_the_stability_cap():
     assert traj.termination == "completed"
     assert traj.steps == len(traj.records) - 1
     dx = traj.snapshots[0].grid.dx
-    ratios = [(b.t - a.t) / (0.5 * dx / advection_speed_bound(u, CH))
+    ratios = [(b.t - a.t) / (0.5 * dx / advection_speed_bound(u.values, CH))
               for a, b, u in zip(traj.records, traj.records[1:], traj.snapshots)]
     # t is a running sum, so a step read back from it carries round-off
     assert max(ratios) <= 1.0 + 1e-12
@@ -402,10 +422,16 @@ def test_records_describe_the_snapshot_beside_them():
 
 def test_rejected_step_is_retried_from_the_same_state(monkeypatch):
     attempts = []
+    fresh = LawsonRK4(Grid(512, 40.0), CH, "two_thirds")
 
-    def recorded(plan, w, dt, t=0.0, fsal=False):
+    def recorded(plan, w, dt, t=0.0):
+        # after an accepted and a rejected step alike, the plan describes the
+        # state it steps: k1 is N(w, t) and work.values its samples (u, u_x)
+        fresh.rate(w, fresh.k1, t)
+        assert np.array_equal(plan.k1, fresh.k1)
+        assert np.array_equal(plan.work.values, fresh.work.values)
         attempts.append((t, dt, w.copy()))
-        return step_rk4(plan, w, dt, t, fsal)
+        return step_rk4(plan, w, dt, t)
 
     monkeypatch.setattr(solver, "step_rk4", recorded)
     monkeypatch.setattr(solver, "STEP_TOLERANCE", 1e-13)
