@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import os
+import shutil
 import sys
 import time
 from pathlib import Path
@@ -394,9 +395,12 @@ def output_dir(args, default_name: str) -> Path:
 def write_run_outputs(outdir: Path, cfg: dict, sim: SimConfig, provenance: dict,
                       traj: Trajectory, wall_time: float) -> None:
     """Fill the run directory that ``cmd_simulate`` created."""
+    snapshots = outdir / "snapshots"
     for i, snap in enumerate(traj.snapshots):
-        field_to_csv(snap, outdir / "snapshots" / f"snap_{i:06d}.csv")
-    field_to_csv(traj.final(), outdir / "snapshots" / "final.csv")
+        field_to_csv(snap, snapshots / f"snap_{i:06d}.csv")
+    # traj.final() is the last snapshot: copy its file rather than format it again
+    shutil.copyfile(snapshots / f"snap_{len(traj.snapshots) - 1:06d}.csv",
+                    snapshots / "final.csv")
     (outdir / "diagnostics.csv").write_text(traj.diagnostics_csv())
     (outdir / "plot.gnuplot").write_text(PLOT_SCRIPT)
     manifest = {

@@ -2,8 +2,10 @@
 
 Nothing here touches the Fourier-multiplier implementations: the smoothing
 operator is evaluated by panel Gauss quadrature against the exponential
-kernel, derivatives by high-order finite differences, and the classical
-quadratic-flux right-hand side is coded directly from its textbook form.
+kernel, with the integrand's band-limited interpolant summed directly by
+Horner's rule at the quadrature nodes; derivatives by high-order finite
+differences; and the classical quadratic-flux right-hand side is coded
+directly from its textbook form.
 """
 from __future__ import annotations
 
@@ -30,17 +32,26 @@ def _wrap_half(z, length):
 
 
 def trig_eval(f: Field, points) -> np.ndarray:
-    """Evaluate the band-limited interpolant of f at arbitrary points."""
+    """Evaluate the band-limited interpolant of f at arbitrary points.
+
+    The interpolant is Re sum_{j=0}^{n/2} c_j z^j in z = exp(2 pi i p / L),
+    with c_0 = fhat_0, c_j = 2 fhat_j for 0 < j < n/2, and c_{n/2} = Re
+    fhat_{n/2} (the Nyquist term split evenly between +/- n/2 so the
+    interpolant is real).  It is summed by Horner's rule: one exp per point,
+    then n/2 in-place multiply-adds.
+    """
     grid = f.grid
     hat = np.fft.fft(f.values) / grid.n
-    k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.length / grid.n)
-    # split the Nyquist coefficient between +/- n/2 so the interpolant is real
     ny = grid.n // 2
-    phases = np.exp(1j * np.outer(np.asarray(points, dtype=float), k))
-    vals = phases @ hat
-    extra = hat[ny] * 0.5 * (np.exp(1j * np.outer(points, [-k[ny]])) -
-                             np.exp(1j * np.outer(points, [k[ny]])))
-    return (vals + extra[:, 0]).real
+    coef = 2.0 * hat[:ny + 1]
+    coef[0] = hat[0]
+    coef[ny] = hat[ny].real
+    z = np.exp((2j * np.pi / grid.length) * np.asarray(points, dtype=float).ravel())
+    acc = np.full_like(z, coef[ny])
+    for c in coef[ny - 1::-1]:
+        acc *= z
+        acc += c
+    return acc.real
 
 
 GAUSS_ORDER = 8  # Gauss-Legendre nodes per panel

@@ -280,10 +280,12 @@ def _step_factor(err: float) -> float:
     return min(factor, STEP_FACTOR_MAX) if factor > STEP_FACTOR_MIN else STEP_FACTOR_MIN
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def integrate(cfg: SimConfig, u0: Field) -> Trajectory:
     """Advance u0 to t_end, or stop early on a breaking threshold or loss of
     finiteness.  Diagnostics and snapshots every ``snapshot_stride`` accepted
-    steps.
+    steps.  An overflow raises no floating-point warning: ``termination =
+    "nonfinite"`` is its one report.
 
     One ``LawsonRK4`` plan serves the whole run.  The state is carried as its
     retained half-spectrum in one array that every step advances in place:

@@ -177,6 +177,8 @@ def test_simulate_rerun_clears_stale_snapshots(tmp_path):
     records = json.loads((outdir / "manifest.json").read_text())["records"]
     snapshots = list((outdir / "snapshots").glob("*.csv"))
     assert len(snapshots) == records + 1  # snap_*.csv of this run and final.csv
+    last = (outdir / "snapshots" / f"snap_{records - 1:06d}.csv").read_bytes()
+    assert (outdir / "snapshots" / "final.csv").read_bytes() == last
     assert (outdir / "snapshots" / "notes.txt").read_text() == "keep"
 
 

@@ -2,6 +2,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -498,6 +499,20 @@ def test_nonfinite_detection():
         traj = integrate(cfg, u0)
     assert traj.termination == "nonfinite"
     assert all(np.all(np.isfinite(s.values)) for s in traj.snapshots)
+
+
+def test_overflow_ends_nonfinite_without_warnings():
+    # steep data at A = 5 overflows in the priming rate; the termination is
+    # the one report of it, no floating-point warning
+    grid = Grid(64, 40.0)
+    u0 = Field(grid, 30.0 * np.sin(2 * np.pi * grid.x / 40.0))
+    cfg = SimConfig(grid=grid, coefficients=normalize(model_coefficients(5.0)),
+                    t_end=1.0, dt=0.05)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate(cfg, u0)
+    assert traj.termination == "nonfinite"
+    assert traj.steps == 0 and len(traj.snapshots) == 1
 
 
 def test_breaking_integral_is_nondecreasing_and_second_order():

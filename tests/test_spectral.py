@@ -1,10 +1,11 @@
 """Grid, Field, spectral operators and dealiasing."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from shearwaves.oracles import fd_derivative6, helmholtz_inverse_quadrature
+from shearwaves.oracles import fd_derivative6, helmholtz_inverse_quadrature, trig_eval
 from shearwaves.spectral import (
     Field,
     Grid,
@@ -141,6 +142,47 @@ def test_quadrature_oracle_agreement(grid):
     f = trig_field(grid, a, b, amplitude=1.0)
     quad = helmholtz_inverse_quadrature(f)
     assert np.max(np.abs(quad - helmholtz_inverse(f).values)) < 1e-8
+
+
+def dense_trig_eval(f, points):
+    """Reference interpolant: every mode's phase at every point as one complex
+    exponential matrix, the Nyquist coefficient split between +/- n/2."""
+    grid = f.grid
+    hat = np.fft.fft(f.values) / grid.n
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.length / grid.n)
+    ny = grid.n // 2
+    phases = np.exp(1j * np.outer(np.asarray(points, dtype=float), k))
+    vals = phases @ hat
+    extra = hat[ny] * 0.5 * (np.exp(1j * np.outer(points, [-k[ny]])) -
+                             np.exp(1j * np.outer(points, [k[ny]])))
+    return (vals + extra[:, 0]).real
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_trig_eval_matches_dense_sum(n):
+    grid = Grid(n, 40.0)
+    rng = np.random.default_rng(n)
+    nyquist = np.cos(np.pi * np.arange(n))
+    points = rng.uniform(-40.0, 80.0, size=(6, 11))  # negative, beyond L, unsorted, 2-D
+    for values in (rng.standard_normal(n), 0.3 * nyquist, np.sin(grid.x) + 0.5 * nyquist):
+        f = Field(grid, values)
+        for p in (grid.x, points, points[0]):
+            got = trig_eval(f, p)
+            assert got.shape == (np.size(p),)
+            assert np.max(np.abs(got - dense_trig_eval(f, p))) < 1e-13 * np.max(np.abs(values))
+
+
+def test_quadrature_oracle_memory(grid):
+    # the interpolant at the 8 n Gauss nodes takes O(n) memory, no n x 8n matrix
+    f = trig_field(grid, *random_mode_coefficients(np.random.default_rng(3), 12), amplitude=1.0)
+    helmholtz_inverse_quadrature(f)  # first call loads what numpy loads lazily
+    tracemalloc.start()
+    try:
+        helmholtz_inverse_quadrature(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_dealias_keeps_low_band(grid):
