@@ -11,8 +11,9 @@ import argparse
 import json
 import math
 import os
-import shutil
+import queue
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -32,12 +33,14 @@ from .spectral import (
     DEALIAS_FRACTIONS,
     Field,
     Grid,
-    field_to_csv,
+    csv_text,
     random_mode_coefficients,
     trig_field,
 )
 
 SCHEMA_VERSION = 1
+# snapshot texts formatted ahead of the file writer; bounds the text held at once
+WRITE_AHEAD = 4
 OUTPUT_ROOT_ENV = "SHEARWAVES_OUTPUT_ROOT"
 # every top-level run-configuration field the reader knows; any other is an error
 CONFIG_FIELDS = frozenset((
@@ -392,17 +395,53 @@ def output_dir(args, default_name: str) -> Path:
     return root / default_name
 
 
+def _write_files(jobs: queue.Queue, failures: list) -> None:
+    """The writer thread of ``write_run_outputs``: create each queued
+    ``(path, text)`` file, in queue order, until None arrives.  It only opens,
+    writes and closes.  After the first OSError, kept in ``failures``, it
+    writes nothing more and only drains the queue."""
+    while (job := jobs.get()) is not None:
+        if not failures:
+            path, text = job
+            try:
+                with open(path, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                failures.append((path, exc))
+
+
 def write_run_outputs(outdir: Path, cfg: dict, sim: SimConfig, provenance: dict,
                       traj: Trajectory, wall_time: float) -> None:
-    """Fill the run directory that ``cmd_simulate`` created."""
+    """Fill the run directory that ``cmd_simulate`` created; ConfigError if a
+    file cannot be written.
+
+    This thread formats each snapshot while one writer thread creates the
+    files of the ones before it, at most ``WRITE_AHEAD`` texts behind.  The
+    writer is joined before the other files are written, also on an error.
+    """
+    start = time.perf_counter()
     snapshots = outdir / "snapshots"
-    for i, snap in enumerate(traj.snapshots):
-        field_to_csv(snap, snapshots / f"snap_{i:06d}.csv")
-    # traj.final() is the last snapshot: copy its file rather than format it again
-    shutil.copyfile(snapshots / f"snap_{len(traj.snapshots) - 1:06d}.csv",
-                    snapshots / "final.csv")
-    (outdir / "diagnostics.csv").write_text(traj.diagnostics_csv())
-    (outdir / "plot.gnuplot").write_text(PLOT_SCRIPT)
+    jobs = queue.Queue(WRITE_AHEAD)
+    failures: list = []
+    writer = threading.Thread(target=_write_files, args=(jobs, failures))
+    writer.start()
+    try:
+        for i, snap in enumerate(traj.snapshots):
+            if failures:
+                break
+            text = csv_text(snap)
+            jobs.put((snapshots / f"snap_{i:06d}.csv", text))
+        else:  # traj.final() is the last snapshot: final.csv gets its text
+            jobs.put((snapshots / "final.csv", text))
+    finally:
+        jobs.put(None)
+        writer.join()
+    if failures:
+        path, exc = failures[0]
+        raise ConfigError(f"cannot write {path}: {exc}")
+    _write_text(outdir / "diagnostics.csv", traj.diagnostics_csv())
+    _write_text(outdir / "plot.gnuplot", PLOT_SCRIPT)
+    output_time = time.perf_counter() - start
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "config": cfg,
@@ -415,9 +454,10 @@ def write_run_outputs(outdir: Path, cfg: dict, sim: SimConfig, provenance: dict,
         "steps": traj.steps,
         "rejected_steps": traj.rejected_steps,
         "wall_time_s": wall_time,
+        "output_time_s": output_time,
         "dispersion_note": DISPERSION_NOTE,
     }
-    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    _write_text(outdir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True))
 
 
 def cmd_simulate(args) -> int:

@@ -12,7 +12,7 @@ import numpy as np
 
 __all__ = ["DEALIAS_FRACTIONS", "Grid", "Field", "derivative", "helmholtz_inverse",
            "helmholtz_inverse_dx", "dealias", "sup_norm", "sobolev_norm",
-           "random_mode_coefficients", "trig_field", "field_to_csv"]
+           "random_mode_coefficients", "trig_field", "csv_text", "field_to_csv"]
 
 # Dealiasing cutoffs as fractions of the Nyquist wavenumber.  two_thirds is the
 # classic rule for quadratic products; "strong" keeps |j| <= n/(p+1) with p = 6,
@@ -171,12 +171,16 @@ def trig_field(grid: Grid, cos_coeffs, sin_coeffs, amplitude: float | None = Non
     return Field(grid, np.fft.irfft(half, grid.n))
 
 
-def field_to_csv(f: Field, path) -> None:
-    """Write snapshot rows x,u(x) with 17 significant digits.
+def csv_text(f: Field) -> str:
+    """Snapshot file text: rows x,u(x) with 17 significant digits.
 
-    One ``%`` format of the grid's cached ``csv_template`` and one write; the
-    bytes equal a per-row ``f"{x:.17g},{u:.17g}\\n"`` under an ``x,u`` header.
+    One ``%`` format of the grid's cached ``csv_template``; the text equals a
+    per-row ``f"{x:.17g},{u:.17g}\\n"`` under an ``x,u`` header.
     """
-    with open(path, "w") as fh:
-        fh.write(f.grid.csv_template % tuple(f.values.tolist()))
+    return f.grid.csv_template % tuple(f.values.tolist())
 
+
+def field_to_csv(f: Field, path) -> None:
+    """Write ``csv_text(f)`` to ``path`` in one write."""
+    with open(path, "w") as fh:
+        fh.write(csv_text(f))

@@ -1,6 +1,11 @@
 """Command-line interface: tables, verification suites, runs, reproducibility."""
 import json
+import math
 import re
+import sys
+import threading
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +13,8 @@ import pytest
 
 from shearwaves import checks, cli
 from shearwaves.cli import main
+from shearwaves.solver import integrate
+from shearwaves.spectral import csv_text, field_to_csv
 
 
 def run_cli(*argv):
@@ -148,6 +155,7 @@ def test_simulate_run_directory(tmp_path, capsys):
     assert manifest["termination"] == "completed"
     assert manifest["provenance"] == {"vorticity": 1.5}
     assert "dispersion_note" in manifest
+    assert manifest["wall_time_s"] >= 0 and manifest["output_time_s"] >= 0
     header = (outdir / "diagnostics.csv").read_text().splitlines()[0]
     assert header == "t,sup_u,min_ux,max_ux,h1,hs,breaking_integral,ch_energy"
 
@@ -234,6 +242,103 @@ def test_simulate_breaking_flag_in_manifest(tmp_path):
     # a CFL run counts its accepted and rejected steps; the stop falls on a record
     assert manifest["steps"] == 10 * (manifest["records"] - 1)
     assert manifest["rejected_steps"] >= 0
+
+
+def _run(cfg: dict):
+    """``(sim, provenance, trajectory)`` of a config, as ``simulate`` steps it."""
+    sim, provenance = cli.sim_config_from_dict(cfg)
+    return sim, provenance, integrate(sim, cli.initial_condition(cfg, sim.grid))
+
+
+def _outdir(tmp_path):
+    (tmp_path / "out" / "snapshots").mkdir(parents=True)
+    return tmp_path / "out"
+
+
+@pytest.fixture(scope="module")
+def dense_run():
+    """The criterion-8 Camassa-Holm breaking run at n = 1024 with a snapshot
+    every step: 258 records."""
+    ch = {"alpha1": 0.0, "alpha2": 1.0, "alpha3": 0.0, "beta1": 0.0, "beta2": -1.0,
+          "beta3": 0.0, "beta4": 0.0, "beta5": 0.0, "beta6": 0.0, "beta7": -0.5,
+          "beta8": 0.0, "gamma": 0.0}
+    cfg = {"schema_version": 1, "n": 1024, "length": 40.0, "t_end": 14.0, "cfl": 0.3,
+           "snapshot_stride": 1, "coefficients": ch, "initial": "sine", "amplitude": -1.5,
+           "breaking_stop": -12.0 * 1.5 * 2 * math.pi / 40.0}
+    return (cfg, *_run(cfg))
+
+
+def test_snapshot_files_match_sequential_writes(tmp_path, dense_run):
+    cfg, sim, provenance, traj = dense_run
+    assert len(traj.snapshots) >= 100
+    outdir = _outdir(tmp_path)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        cli.write_run_outputs(outdir, cfg, sim, provenance, traj, 0.0)
+    finally:
+        sys.setswitchinterval(interval)
+    reference = tmp_path / "reference.csv"
+    names = sorted(p.name for p in (outdir / "snapshots").iterdir())
+    assert names == ["final.csv"] + [f"snap_{i:06d}.csv" for i in range(len(traj.snapshots))]
+    for i, snap in enumerate(traj.snapshots):
+        field_to_csv(snap, reference)
+        assert (outdir / "snapshots" / f"snap_{i:06d}.csv").read_bytes() == reference.read_bytes()
+    assert (outdir / "snapshots" / "final.csv").read_bytes() == reference.read_bytes()
+
+
+def test_snapshot_write_ahead_bounds_memory(tmp_path, dense_run, monkeypatch):
+    # a writer slower than the formatter, as on a slow disk: without the bound
+    # the formatted texts would pile up (all 258 are about 7.8 MB)
+    def slow_open(*args, **kwargs):
+        time.sleep(0.002)
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", slow_open, raising=False)
+    cfg, sim, provenance, traj = dense_run
+    outdir = _outdir(tmp_path)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cli.write_run_outputs(outdir, cfg, sim, provenance, traj, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj.snapshots) == 258
+    assert len(list((outdir / "snapshots").glob("snap_*.csv"))) == 258
+    assert peak - base < 2**20
+
+
+def test_snapshot_write_failure_is_a_config_error(tmp_path):
+    # called directly: simulate's stale-file cleanup would remove the obstacle
+    cfg = {"schema_version": 1, "n": 64, "length": 40.0, "t_end": 0.1, "dt": 0.01,
+           "vorticity": 1.5, "initial": "sech2"}
+    sim, provenance, traj = _run(cfg)
+    assert len(traj.snapshots) == 11
+    outdir = _outdir(tmp_path)
+    blocked = outdir / "snapshots" / "snap_000003.csv"
+    blocked.mkdir()
+    threads = threading.active_count()
+    with pytest.raises(cli.ConfigError, match=re.escape(f"cannot write {blocked}: ")):
+        cli.write_run_outputs(outdir, cfg, sim, provenance, traj, 0.0)
+    assert threading.active_count() == threads
+    for i in range(3):
+        path = outdir / "snapshots" / f"snap_{i:06d}.csv"
+        assert path.read_text() == csv_text(traj.snapshots[i])
+    # the writer stops at its first error, and nothing after the snapshots is written
+    assert sorted(p.name for p in outdir.rglob("*")) == [
+        "snap_000000.csv", "snap_000001.csv", "snap_000002.csv", "snap_000003.csv",
+        "snapshots"]
+
+
+def test_simulate_unwritable_output_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    _write_config(cfg_path, n=64, t_end=0.02, snapshot_stride=5)
+    outdir = tmp_path / "out"
+    (outdir / "manifest.json").mkdir(parents=True)
+    assert run_cli("simulate", str(cfg_path), "--out", str(outdir)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {outdir / 'manifest.json'}: ")
 
 
 @pytest.mark.parametrize("mutate, message_part", [

@@ -9,6 +9,7 @@ from shearwaves.oracles import fd_derivative6, helmholtz_inverse_quadrature, tri
 from shearwaves.spectral import (
     Field,
     Grid,
+    csv_text,
     dealias,
     derivative,
     field_to_csv,
@@ -328,3 +329,10 @@ def test_csv_bytes_match_per_row_format(tmp_path, n):
         field_to_csv(f, path)
         oracle = "x,u\n" + "".join(f"{x:.17g},{u:.17g}\n" for x, u in zip(grid.x, f.values))
         assert path.read_bytes() == oracle.encode()
+
+
+def test_csv_text_is_the_written_file(tmp_path, grid):
+    f = Field(grid, np.random.default_rng(3).standard_normal(grid.n))
+    path = tmp_path / "snap.csv"
+    field_to_csv(f, path)
+    assert csv_text(f).encode() == path.read_bytes()
