@@ -123,6 +123,8 @@ P = 2.0
 S1 = 0.5
 S2 = 1.5
 THETA = 0.5
+# fields per transform pair in ``inequality_suite``: bounds its transient blocks
+SUITE_BATCH = 16
 
 
 def inequality_suite(fields, exact_tol: float = 1e-12) -> list:
@@ -131,8 +133,10 @@ def inequality_suite(fields, exact_tol: float = 1e-12) -> list:
     Per field: (a) summation-index monotonicity (l^r nesting), (b) convexity
     interpolation in the smoothness index, (c) the logarithmic interpolation
     ratio, recorded and bounded by the constant fitted over the sample's finite
-    ratios (no closed-form constant is available for it).  One rfft/irfft pair
-    decomposes all fields into (F, Q+2, n) blocks; each norm is one array.
+    ratios (no closed-form constant is available for it).  The block L^p norms
+    fill one (F, Q+2) array, ``SUITE_BATCH`` fields per rfft/irfft pair, so
+    the transient (batch, Q+2, n) blocks stay the same size for any F; each
+    Besov norm is then one reduction over that array.
 
     Returns a list of dicts {check, params, defect_or_ratio, pass}; a NaN
     sample makes its field's defects NaN and its entries fail.
@@ -145,8 +149,12 @@ def inequality_suite(fields, exact_tol: float = 1e-12) -> list:
         if u.grid != grid:
             raise ValueError(f"inequality_suite needs one grid, got {grid} and {u.grid}")
     q, multipliers = _cutoffs(grid)
-    blocks = np.fft.irfft(multipliers * np.fft.rfft([u.values for u in fields])[:, None, :], grid.n)
-    norms = (grid.dx * np.sum(np.abs(blocks)**P, axis=2)) ** (1.0 / P)  # as lp_norms(P)
+    norms = np.empty((len(fields), len(q)))
+    for lo in range(0, len(fields), SUITE_BATCH):
+        values = [u.values for u in fields[lo:lo + SUITE_BATCH]]
+        blocks = np.fft.irfft(multipliers * np.fft.rfft(values)[:, None, :], grid.n)
+        # as lp_norms(P); pocketfft transforms each row alone, so no bit depends on the batch
+        norms[lo:lo + SUITE_BATCH] = (grid.dx * np.sum(np.abs(blocks)**P, axis=2)) ** (1.0 / P)
     s_mid = THETA * S1 + (1.0 - THETA) * S2
     besov = {(s, r): _besov_from_norms(q, norms, s, r)
              for s in (S1, S2, s_mid, 1.0 / P, 1.0 + 1.0 / P) for r in (1.0, 2.0, math.inf)}

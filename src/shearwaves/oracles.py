@@ -5,7 +5,8 @@ operator is evaluated by panel Gauss quadrature against the exponential
 kernel, with the integrand's band-limited interpolant summed directly by
 Horner's rule at the quadrature nodes; derivatives by high-order finite
 differences; and the classical quadratic-flux right-hand side is coded
-directly from its textbook form.
+directly from its textbook form.  The 8-point Gauss-Legendre rule is a
+table of numpy's ``leggauss(8)``, so no oracle calls LAPACK.
 """
 from __future__ import annotations
 
@@ -54,7 +55,16 @@ def trig_eval(f: Field, points) -> np.ndarray:
     return acc.real
 
 
-GAUSS_ORDER = 8  # Gauss-Legendre nodes per panel
+# the 8-point Gauss-Legendre rule on [-1, 1], the exact repr of numpy's
+# leggauss(8): a table, so the oracle loads neither numpy.polynomial nor LAPACK
+GAUSS_NODES = np.array([
+    -0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
+    0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362,
+])
+GAUSS_WEIGHTS = np.array([
+    0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
+    0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706,
+])
 
 
 def helmholtz_inverse_quadrature(f: Field) -> np.ndarray:
@@ -67,12 +77,11 @@ def helmholtz_inverse_quadrature(f: Field) -> np.ndarray:
     the accuracy floor of the nearest-image approximation.
     """
     grid = f.grid
-    nodes, weights = np.polynomial.legendre.leggauss(GAUSS_ORDER)
     # map to panels [x_m, x_m + dx]
     starts = grid.x
     half = 0.5 * grid.dx
-    y = (starts[:, None] + half * (nodes[None, :] + 1.0)).ravel()
-    w = np.tile(half * weights, grid.n)
+    y = (starts[:, None] + half * (GAUSS_NODES[None, :] + 1.0)).ravel()
+    w = np.tile(half * GAUSS_WEIGHTS, grid.n)
     fy = trig_eval(f, y)
     out = np.empty(grid.n)
     for i, xi in enumerate(grid.x):

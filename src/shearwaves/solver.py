@@ -266,6 +266,7 @@ def _diagnose(plan: LawsonRK4, w: np.ndarray, t: float, s: float,
 
 # error control of CFL steps (see ``integrate``)
 STEP_TOLERANCE = 1e-8
+STEP_MIN_FRACTION = 1e-6  # a CFL step below this share of t_end ends the run
 STEP_SAFETY = 0.9
 STEP_FACTOR_MIN = 0.2
 STEP_FACTOR_MAX = 2.0
@@ -282,10 +283,10 @@ def _step_factor(err: float) -> float:
 
 @np.errstate(over="ignore", invalid="ignore")
 def integrate(cfg: SimConfig, u0: Field) -> Trajectory:
-    """Advance u0 to t_end, or stop early on a breaking threshold or loss of
-    finiteness.  Diagnostics and snapshots every ``snapshot_stride`` accepted
-    steps.  An overflow raises no floating-point warning: ``termination =
-    "nonfinite"`` is its one report.
+    """Advance u0 to t_end, or stop early on a breaking threshold, loss of
+    finiteness or a CFL step too small to reach t_end.  Diagnostics and
+    snapshots every ``snapshot_stride`` accepted steps.  An overflow raises no
+    floating-point warning: ``termination = "nonfinite"`` is its one report.
 
     One ``LawsonRK4`` plan serves the whole run.  The state is carried as its
     retained half-spectrum in one array that every step advances in place:
@@ -297,7 +298,11 @@ def integrate(cfg: SimConfig, u0: Field) -> Trajectory:
     A CFL step is the smaller of the stability cap at the state it starts
     from and the last step size times ``_step_factor`` of its error estimate
     (at first the cap, or cfl dx at zero speed).  A step past
-    ``STEP_TOLERANCE`` is retried smaller from ``plan.w_start``, k1 re-primed."""
+    ``STEP_TOLERANCE`` is retried smaller from ``plan.w_start``, k1 re-primed.
+    A step below ``STEP_MIN_FRACTION`` t_end, the clip to t_end aside, ends
+    the run with ``termination = "step_size_underflow"`` (Hairer, Norsett &
+    Wanner's "step size too small" exit): a solution that leaves the grid's
+    resolution would otherwise drive the step towards zero without end."""
     if u0.grid != cfg.grid:
         raise ValueError("initial data grid does not match the configured grid")
     g, grid = cfg.coefficients, cfg.grid
@@ -326,6 +331,9 @@ def integrate(cfg: SimConfig, u0: Field) -> Trajectory:
         proposal = cap if cap < math.inf else cfg.cfl * grid.dx
     while t < cfg.t_end - tiny:
         dt = cfg.dt if cfg.dt is not None else min(proposal, cap)
+        if cfg.cfl is not None and dt < STEP_MIN_FRACTION * cfg.t_end:  # before the clip to t_end
+            traj.termination = "step_size_underflow"
+            return traj
         dt = min(dt, cfg.t_end - t)
         step_rk4(plan, w, dt, t)
         if not np.all(np.isfinite(values)):

@@ -1,5 +1,6 @@
 """Dyadic decomposition, Besov norms and the exact-inequality suite."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -209,6 +210,23 @@ def test_inequality_suite_entries_equal_per_entry_besov_norms(grid):
     fitted = {e["params"]["fitted_constant"] for e in report
               if e["check"] == "log_interpolation_ratio"}
     assert fitted == {max(ratios)}
+
+
+def test_inequality_suite_memory_is_bounded_by_its_batch(grid):
+    # 100 fields at n = 256 as one (100, Q+2, n) block array peaked at about
+    # 4.1 MiB; batches of SUITE_BATCH fields keep the blocks and the report
+    # under 1 MiB
+    rng = np.random.default_rng(31)
+    fields = [trig_field(grid, *random_mode_coefficients(rng, 40), amplitude=1.0)
+              for _ in range(100)]
+    inequality_suite(fields)  # first call loads what numpy loads lazily
+    tracemalloc.start()
+    try:
+        inequality_suite(fields)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
 
 
 def test_inequality_suite_zero_field_vacuous(grid):

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shearwaves import checks, cli
+from shearwaves import checks, cli, solver
 from shearwaves.cli import main
 from shearwaves.solver import integrate
 from shearwaves.spectral import csv_text, field_to_csv
@@ -173,6 +173,24 @@ def test_readme_run_configuration_runs(tmp_path):
     assert manifest["records"] == 11
     assert manifest["steps"] == 500 and manifest["rejected_steps"] == 0
     assert len((outdir / "diagnostics.csv").read_text().splitlines()) == 1 + 11
+
+
+def test_simulate_step_size_underflow_exits_1(tmp_path, capsys, monkeypatch):
+    # a floor raised to a quarter of t_end stops this CFL run after two
+    # accepted steps; it ends like a nonfinite run: exit 1, run directory written
+    monkeypatch.setattr(solver, "STEP_MIN_FRACTION", 0.25)
+    cfg_path = tmp_path / "run.json"
+    cfg = _write_config(cfg_path, n=64, snapshot_stride=1)
+    del cfg["dt"]
+    cfg_path.write_text(json.dumps(dict(cfg, cfl=0.5)))
+    outdir = tmp_path / "out"
+    assert run_cli("simulate", str(cfg_path), "--out", str(outdir)) == 1
+    assert "termination=step_size_underflow" in capsys.readouterr().out
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["termination"] == "step_size_underflow"
+    assert manifest["records"] >= 2
+    assert len((outdir / "diagnostics.csv").read_text().splitlines()) == 1 + manifest["records"]
+    assert (outdir / "snapshots" / "final.csv").exists()
 
 
 def test_simulate_rerun_clears_stale_snapshots(tmp_path):

@@ -461,6 +461,54 @@ def test_zero_field_reaches_t_end_in_cfl_mode():
     assert traj.rejected_steps == 0
 
 
+def _small_cfl_attempts(monkeypatch, t_end):
+    """Attempted step sizes and the trajectory of a CH sine CFL run at n = 64."""
+    grid = Grid(64, 40.0)
+    u0 = Field(grid, -1.5 * np.sin(2 * np.pi * grid.x / 40.0))
+    cfg = SimConfig(grid=grid, coefficients=CH, t_end=t_end, cfl=0.5)
+    attempts = []
+
+    def recorded(plan, w, dt, t=0.0):
+        attempts.append(dt)
+        return step_rk4(plan, w, dt, t)
+
+    monkeypatch.setattr(solver, "step_rk4", recorded)
+    return attempts, integrate(cfg, u0)
+
+
+def test_cfl_step_below_the_floor_ends_the_run(monkeypatch):
+    attempts, traj = _small_cfl_attempts(monkeypatch, 1.0)
+    assert traj.termination == "completed"
+    smallest = min(attempts[:-1])  # the last attempt is clipped to t_end
+    first_small = attempts.index(smallest)
+    monkeypatch.setattr(solver, "STEP_MIN_FRACTION", 1.000001 * smallest)
+    attempts, traj = _small_cfl_attempts(monkeypatch, 1.0)
+    assert traj.termination == "step_size_underflow"
+    # the too-small step is never taken; the records up to it are kept
+    assert len(attempts) == first_small
+    assert traj.steps + traj.rejected_steps == first_small
+    assert len(traj.records) == len(traj.snapshots) == traj.steps + 1
+    assert traj.records[-1].t < 1.0
+
+
+def test_step_floor_spares_the_clipped_last_step_and_fixed_dt(monkeypatch):
+    attempts, traj = _small_cfl_attempts(monkeypatch, 1.0)
+    smallest = min(attempts[:-1])
+    # end just past a middle record: the last step, clipped to 1e-3 of the
+    # smallest attempt, lies below the floor but the proposal before it does not
+    t_end = traj.records[len(traj.records) // 2].t + 1e-3 * smallest
+    monkeypatch.setattr(solver, "STEP_MIN_FRACTION", 0.5 * smallest / t_end)
+    attempts, traj = _small_cfl_attempts(monkeypatch, t_end)
+    assert traj.termination == "completed"
+    assert attempts[-1] < 0.5 * smallest
+    assert traj.records[-1].t == pytest.approx(t_end, abs=1e-15)
+    # a fixed step is the caller's choice, whatever its size
+    monkeypatch.setattr(solver, "STEP_MIN_FRACTION", 1.0)
+    grid = Grid(64, 40.0)
+    cfg = SimConfig(grid=grid, coefficients=CH, t_end=0.1, dt=0.05)
+    assert integrate(cfg, Field(grid, np.sin(2 * np.pi * grid.x / 40.0))).termination == "completed"
+
+
 def test_readme_config_cfl_run_matches_a_fine_fixed_step():
     # the README run at cfl 0.5 against a fixed step of t_end/1000 (equal to
     # one of t_end/8000 within 6e-13); the error control holds the gap near

@@ -5,7 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from shearwaves.oracles import fd_derivative6, helmholtz_inverse_quadrature, trig_eval
+from shearwaves.oracles import (
+    GAUSS_NODES,
+    GAUSS_WEIGHTS,
+    fd_derivative6,
+    helmholtz_inverse_quadrature,
+    trig_eval,
+)
 from shearwaves.spectral import (
     Field,
     Grid,
@@ -184,6 +190,13 @@ def test_quadrature_oracle_memory(grid):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_gauss_table_is_leggauss():
+    # the oracle's table stands in for numpy's rule, which calls LAPACK
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    assert np.array_equal(GAUSS_NODES, nodes)
+    assert np.array_equal(GAUSS_WEIGHTS, weights)
 
 
 def test_dealias_keeps_low_band(grid):
