@@ -449,6 +449,7 @@ def write_run_outputs(outdir: Path, cfg: dict, sim: SimConfig, provenance: dict,
         "coefficients": sim.coefficients.to_dict(),
         "provenance": provenance,
         "termination": traj.termination,
+        "t_final": traj.t_final,
         "breaking_verdict": breaking_monitor(traj.records),
         "records": len(traj.records),
         "steps": traj.steps,

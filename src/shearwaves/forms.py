@@ -81,10 +81,13 @@ def rate_hat(u_hat: np.ndarray, grid: Grid, g: GeneralCoefficients, m: int,
     irfft, the advection, flux and cubic products are formed there and
     transformed in one batched rfft, and only the first ``m`` bins (the
     retained band of a dealias policy) are combined with the grid's
-    multipliers: two transform calls per evaluation.  The result is written
-    into the caller's ``out`` (length m) and every elementwise step into the
-    caller's ``work``, sized for len(u_hat) bins; ``work.values`` keeps the
-    samples (u, u_x) of ``u_hat`` until the next call.
+    multipliers: two transform calls per evaluation.  A term whose
+    coefficient is 0 is skipped, exact for finite data (x + 0 = x); with
+    gamma = 0 (Camassa-Holm) the rfft takes two product rows, not three.
+    The result is written into the caller's ``out`` (length m) and every
+    elementwise step into the caller's ``work``, sized for len(u_hat) bins;
+    ``work.values`` keeps the samples (u, u_x) of ``u_hat`` until the next
+    call.
     """
     n = grid.n
     pair, products, slope2, tmp = work.pair, work.products, work.slope2, work.scratch
@@ -96,30 +99,40 @@ def rate_hat(u_hat: np.ndarray, grid: Grid, g: GeneralCoefficients, m: int,
     advection, flux, cubic = products
     # -(a1 + a2 v + a3 v^2) vx
     np.multiply(g.alpha2, v, out=advection)
-    advection += g.alpha1
-    np.multiply(g.alpha3, v, out=tmp)
-    tmp *= v
-    advection += tmp
+    if g.alpha1:
+        advection += g.alpha1
+    if g.alpha3:
+        np.multiply(g.alpha3, v, out=tmp)
+        tmp *= v
+        advection += tmp
     np.negative(advection, out=advection)
     advection *= vx
     # v (b1 + v (b2 + v (b3 + v (b4 + v (b5 + v b6))))) + b7 vx^2 + b8 v vx^2
-    np.multiply(v, g.beta6, out=flux)
-    for beta in (g.beta5, g.beta4, g.beta3, g.beta2, g.beta1):
-        flux += beta
-        np.multiply(v, flux, out=flux)
+    started = False  # Horner's rule starts at the highest nonzero b_i
+    for beta in (g.beta6, g.beta5, g.beta4, g.beta3, g.beta2, g.beta1):
+        if started and beta:
+            flux += beta
+        if started or beta:
+            np.multiply(v, flux if started else beta, out=flux)
+            started = True
+    if not started:
+        flux.fill(0.0)
     np.multiply(g.beta7, slope2, out=cubic)
-    np.multiply(g.beta8, v, out=tmp)
-    tmp *= slope2
-    cubic += tmp
+    if g.beta8:
+        np.multiply(g.beta8, v, out=tmp)
+        tmp *= slope2
+        cubic += tmp
     flux += cubic
     # gamma vx^3
-    np.multiply(g.gamma, slope2, out=cubic)
-    cubic *= vx
-    advection_hat, flux_hat, cubic_hat = np.fft.rfft(products)[:, :m]
-    np.multiply(grid.mult_helmholtz_dx[:m], flux_hat, out=out)
-    np.add(advection_hat, out, out=out)
-    np.multiply(grid.mult_helmholtz[:m], cubic_hat, out=cubic_hat)
-    out += cubic_hat
+    if g.gamma:
+        np.multiply(g.gamma, slope2, out=cubic)
+        cubic *= vx
+    hats = np.fft.rfft(products if g.gamma else products[:2])[:, :m]
+    np.multiply(grid.mult_helmholtz_dx[:m], hats[1], out=out)
+    np.add(hats[0], out, out=out)
+    if g.gamma:
+        np.multiply(grid.mult_helmholtz[:m], hats[2], out=hats[2])
+        out += hats[2]
     return out
 
 

@@ -119,6 +119,7 @@ class Trajectory:
     snapshots: list = dataclass_field(default_factory=list)
     records: list = dataclass_field(default_factory=list)
     termination: str = "completed"
+    t_final: float = 0.0  # time of the last accepted state, whatever ended the run
     steps: int = 0
     rejected_steps: int = 0
 
@@ -238,7 +239,8 @@ def step_rk4(plan: LawsonRK4, w: np.ndarray, dt: float, t: float = 0.0) -> np.nd
 def advection_speed_bound(v: np.ndarray, g: GeneralCoefficients) -> float:
     """CFL speed max|alpha2 v + alpha3 v^2| of the samples v; alpha1 is part
     of the linear drift, which the step advances exactly."""
-    return float(np.max(np.abs(g.alpha2 * v + g.alpha3 * v * v)))
+    speed = g.alpha2 * v + g.alpha3 * v * v if g.alpha3 else g.alpha2 * v
+    return float(np.max(np.abs(speed)))
 
 
 def _diagnose(plan: LawsonRK4, w: np.ndarray, t: float, s: float,
@@ -246,7 +248,8 @@ def _diagnose(plan: LawsonRK4, w: np.ndarray, t: float, s: float,
     """Record of w from the samples (u, u_x) its rate left in ``plan.work``."""
     grid = plan.grid
     u, ux = plan.work.values
-    slope_sup = float(np.max(np.abs(ux)))
+    min_ux, max_ux = float(np.min(ux)), float(np.max(ux))
+    slope_sup = max(abs(min_ux), abs(max_ux))
     integral = 0.0 if prev is None else prev.breaking_integral
     if prev is not None:
         prev_slope = max(abs(prev.min_ux), abs(prev.max_ux))
@@ -255,8 +258,8 @@ def _diagnose(plan: LawsonRK4, w: np.ndarray, t: float, s: float,
     return DiagnosticsRecord(
         t=t,
         sup_u=float(np.max(np.abs(u))),
-        min_ux=float(np.min(ux)),
-        max_ux=float(np.max(ux)),
+        min_ux=min_ux,
+        max_ux=max_ux,
         h1=sobolev_norm(grid, w, 1.0),
         hs=sobolev_norm(grid, w, s),
         breaking_integral=integral,
@@ -349,6 +352,7 @@ def integrate(cfg: SimConfig, u0: Field) -> Trajectory:
                 continue
             cap = stability_cap()
         t += dt
+        traj.t_final = t
         traj.steps += 1
         at_end = t >= cfg.t_end - tiny
         if traj.steps % cfg.snapshot_stride == 0 or at_end:

@@ -189,7 +189,10 @@ def test_simulate_step_size_underflow_exits_1(tmp_path, capsys, monkeypatch):
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["termination"] == "step_size_underflow"
     assert manifest["records"] >= 2
-    assert len((outdir / "diagnostics.csv").read_text().splitlines()) == 1 + manifest["records"]
+    rows = (outdir / "diagnostics.csv").read_text().splitlines()
+    assert len(rows) == 1 + manifest["records"]
+    # the stop time is the last accepted state's, the last record's at stride 1
+    assert manifest["t_final"] == float(rows[-1].split(",")[0]) < cfg["t_end"]
     assert (outdir / "snapshots" / "final.csv").exists()
 
 

@@ -128,6 +128,53 @@ def test_rate_hat_workspace_is_bitwise_neutral(grid, policy):
         assert np.array_equal(fresh, reused)
 
 
+def _rate_hat_every_term(u_hat, grid, g, m):
+    """``rate_hat`` with every term evaluated, zero coefficients included, in
+    the kernel's operation order: the reference for its skipped terms."""
+    v, vx = np.fft.irfft(np.stack([u_hat, grid.mult_dx[:u_hat.size] * u_hat]), grid.n)
+    slope2 = vx * vx
+    advection = -(g.alpha2 * v + g.alpha1 + g.alpha3 * v * v) * vx
+    flux = v * g.beta6
+    for beta in (g.beta5, g.beta4, g.beta3, g.beta2, g.beta1):
+        flux = v * (flux + beta)
+    flux = flux + (g.beta7 * slope2 + g.beta8 * v * slope2)
+    cubic = g.gamma * slope2 * vx
+    advection_hat, flux_hat, cubic_hat = np.fft.rfft(np.stack([advection, flux, cubic]))[:, :m]
+    return (advection_hat + grid.mult_helmholtz_dx[:m] * flux_hat
+            + grid.mult_helmholtz[:m] * cubic_hat)
+
+
+@pytest.mark.parametrize("policy", [None, "two_thirds", "strong"])
+def test_rate_hat_skips_zero_terms_bitwise(grid, policy, monkeypatch):
+    # skipping a term whose coefficient is 0 leaves every bit of the rate;
+    # gamma = 0 transforms two product rows, gamma != 0 three
+    rng = np.random.default_rng(34)
+    names = [f.name for f in dataclasses.fields(GeneralCoefficients)]
+    full = dict(zip(names, rng.uniform(0.2, 1.0, 12) * rng.choice([-1, 1], 12)))
+    sets = [CH, GeneralCoefficients(**dict(full, gamma=0.0)),
+            GeneralCoefficients(**{k: 0.0 if k.startswith("beta") else c for k, c in full.items()})]
+    sets += [GeneralCoefficients(**{k: 0.0 if rng.random() < 0.5 else c for k, c in full.items()})
+             for _ in range(20)]
+    shapes = []
+    rfft = np.fft.rfft
+
+    def spied(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return rfft(a, *args, **kwargs)
+
+    m = grid.retained_bins(policy)
+    work, out = RateWorkspace(grid.n, m), np.empty(m, dtype=complex)
+    for g in sets:
+        u_hat = rfft(trig_field(grid, *random_mode_coefficients(rng, 16), amplitude=0.6).values)[:m]
+        expect = _rate_hat_every_term(u_hat, grid, g, m)
+        monkeypatch.setattr(np.fft, "rfft", spied)
+        got = rate_hat(u_hat, grid, g, m, out=out, work=work)
+        monkeypatch.undo()
+        assert np.array_equal(got, expect)
+        assert shapes.pop() == ((3, grid.n) if g.gamma else (2, grid.n))
+    assert not shapes
+
+
 def test_rhs_unknown_policy(grid):
     with pytest.raises(ValueError):
         rhs_nonlocal(Field(grid, np.zeros(grid.n)), CH, "off")

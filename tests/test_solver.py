@@ -421,6 +421,30 @@ def test_records_describe_the_snapshot_beside_them():
         assert rec.hs == pytest.approx(sobolev_norm(snap.grid, u_hat, 1.5), rel=1e-12)
 
 
+def test_records_take_their_norms_from_the_memoised_weights(monkeypatch):
+    # h1 and hs are sobolev_norm of the carried spectrum itself, whose
+    # (1 + k^2)^s row is built once per grid and s
+    seen = []
+
+    def recorded(plan, w, t, s, prev):
+        rec = diagnose(plan, w, t, s, prev)
+        seen.append((w.copy(), s, rec))
+        return rec
+
+    diagnose = solver._diagnose
+    monkeypatch.setattr(solver, "_diagnose", recorded)
+    traj = _sine_cfl_run(t_end=0.2, sobolev_s=2.5)
+    grid = traj.snapshots[0].grid
+    assert len(seen) == len(traj.records) >= 3
+    for w, s, rec in seen:
+        assert s == 2.5
+        assert rec.h1 == sobolev_norm(grid, w, 1.0)
+        assert rec.hs == sobolev_norm(grid, w, 2.5)
+    weight = grid.sobolev_weight(2.5)
+    assert grid.sobolev_weight(2.5) is weight and not weight.flags.writeable
+    assert np.array_equal(weight, (1.0 + grid.k**2) ** 2.5)
+
+
 def test_rejected_step_is_retried_from_the_same_state(monkeypatch):
     attempts = []
     fresh = LawsonRK4(Grid(512, 40.0), CH, "two_thirds")
@@ -461,11 +485,11 @@ def test_zero_field_reaches_t_end_in_cfl_mode():
     assert traj.rejected_steps == 0
 
 
-def _small_cfl_attempts(monkeypatch, t_end):
+def _small_cfl_attempts(monkeypatch, t_end, stride=1):
     """Attempted step sizes and the trajectory of a CH sine CFL run at n = 64."""
     grid = Grid(64, 40.0)
     u0 = Field(grid, -1.5 * np.sin(2 * np.pi * grid.x / 40.0))
-    cfg = SimConfig(grid=grid, coefficients=CH, t_end=t_end, cfl=0.5)
+    cfg = SimConfig(grid=grid, coefficients=CH, t_end=t_end, cfl=0.5, snapshot_stride=stride)
     attempts = []
 
     def recorded(plan, w, dt, t=0.0):
@@ -507,6 +531,27 @@ def test_step_floor_spares_the_clipped_last_step_and_fixed_dt(monkeypatch):
     grid = Grid(64, 40.0)
     cfg = SimConfig(grid=grid, coefficients=CH, t_end=0.1, dt=0.05)
     assert integrate(cfg, Field(grid, np.sin(2 * np.pi * grid.x / 40.0))).termination == "completed"
+
+
+def test_t_final_is_the_time_of_the_last_accepted_state(monkeypatch):
+    # a completed run ends at t_end; a step-floor stop and a nonfinite stop end
+    # at their last accepted state, which a stride of 7 leaves unrecorded
+    attempts, done = _small_cfl_attempts(monkeypatch, 1.0)
+    assert done.termination == "completed"
+    assert done.t_final == pytest.approx(1.0, abs=1e-12)
+    monkeypatch.setattr(solver, "STEP_MIN_FRACTION", 1.000001 * min(attempts[:-1]))
+    floored = [_small_cfl_attempts(monkeypatch, 1.0, stride)[1] for stride in (1, 7)]
+    grid = Grid(64, 40.0)
+    u0 = Field(grid, 5.0 * np.sin(2 * np.pi * 5 * grid.x / 40.0))
+    cfg = SimConfig(grid=grid, coefficients=normalize(model_coefficients(1.5)), t_end=50.0, dt=0.5)
+    overflowed = [integrate(dataclasses.replace(cfg, snapshot_stride=stride), u0)
+                  for stride in (1, 7)]
+    for (dense, sparse), why, t_end in ((floored, "step_size_underflow", 1.0),
+                                        (overflowed, "nonfinite", 50.0)):
+        assert dense.termination == sparse.termination == why
+        assert sparse.t_final == dense.t_final == dense.records[-1].t < t_end
+        assert sparse.records[-1].t < sparse.t_final
+    assert overflowed[0].t_final == 0.5
 
 
 def test_readme_config_cfl_run_matches_a_fine_fixed_step():
