@@ -19,15 +19,8 @@ import numpy as np
 
 from .spectral import Field
 
-__all__ = [
-    "chi_cutoff",
-    "phi_cutoff",
-    "DyadicBlocks",
-    "decompose",
-    "besov_norm",
-    "besov_norm_from_blocks",
-    "inequality_suite",
-]
+__all__ = ["chi_cutoff", "phi_cutoff", "DyadicBlocks", "decompose", "besov_norm",
+           "besov_norm_from_blocks", "inequality_suite"]
 
 
 def _smooth_step(t):
@@ -69,10 +62,15 @@ class DyadicBlocks:
 
     def lp_norms(self, p: float) -> np.ndarray:
         """Discrete L^p norm of every block, dx-weighted; p = inf is the row max."""
-        v = np.abs(self.blocks)
-        if math.isinf(p):
-            return v.max(axis=1)
-        return (self.field.grid.dx * np.sum(v**p, axis=1)) ** (1.0 / p)
+        return _lp_norms(self.blocks, self.field.grid.dx, p)
+
+
+def _lp_norms(blocks: np.ndarray, dx: float, p: float) -> np.ndarray:
+    """dx-weighted discrete L^p norms over the last axis of ``blocks``."""
+    v = np.abs(blocks)
+    if math.isinf(p):
+        return v.max(axis=-1)
+    return (dx * np.sum(v**p, axis=-1)) ** (1.0 / p)
 
 
 def q_max_for_grid(grid) -> int:
@@ -90,12 +88,18 @@ def _cutoffs(grid):
     return q_values, multipliers
 
 
+def _blocks(grid, multipliers, values) -> np.ndarray:
+    """(Q+2, n) blocks of one field's samples, or (F, Q+2, n) of F fields';
+    pocketfft transforms each row alone, so no bit depends on the batch."""
+    return np.fft.irfft(multipliers * np.fft.rfft(values)[..., None, :], grid.n)
+
+
 def decompose(u: Field) -> DyadicBlocks:
     """Split u into its low block and dyadic annulus blocks covering the
     resolved band."""
     q_values, multipliers = _cutoffs(u.grid)
-    blocks = np.fft.irfft(multipliers * np.fft.rfft(u.values), u.grid.n)
-    return DyadicBlocks(field=u, blocks=blocks, q_values=q_values, multipliers=multipliers)
+    return DyadicBlocks(field=u, blocks=_blocks(u.grid, multipliers, u.values),
+                        q_values=q_values, multipliers=multipliers)
 
 
 def besov_norm_from_blocks(blocks: DyadicBlocks, s: float, p: float, r: float) -> float:
@@ -151,13 +155,11 @@ def inequality_suite(fields, exact_tol: float = 1e-12) -> list:
     q, multipliers = _cutoffs(grid)
     norms = np.empty((len(fields), len(q)))
     for lo in range(0, len(fields), SUITE_BATCH):
-        values = [u.values for u in fields[lo:lo + SUITE_BATCH]]
-        blocks = np.fft.irfft(multipliers * np.fft.rfft(values)[:, None, :], grid.n)
-        # as lp_norms(P); pocketfft transforms each row alone, so no bit depends on the batch
-        norms[lo:lo + SUITE_BATCH] = (grid.dx * np.sum(np.abs(blocks)**P, axis=2)) ** (1.0 / P)
+        blocks = _blocks(grid, multipliers, [u.values for u in fields[lo:lo + SUITE_BATCH]])
+        norms[lo:lo + SUITE_BATCH] = _lp_norms(blocks, grid.dx, P)
     s_mid = THETA * S1 + (1.0 - THETA) * S2
     besov = {(s, r): _besov_from_norms(q, norms, s, r)
-             for s in (S1, S2, s_mid, 1.0 / P, 1.0 + 1.0 / P) for r in (1.0, 2.0, math.inf)}
+             for s in {S1, S2, s_mid, 1.0 / P, 1.0 + 1.0 / P} for r in (1.0, 2.0, math.inf)}
     results, ratios = [], []
     for idx in range(len(fields)):
         for r1, r2 in ((1.0, 2.0), (2.0, math.inf), (1.0, math.inf)):

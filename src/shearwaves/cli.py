@@ -15,6 +15,7 @@ import queue
 import sys
 import threading
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,7 @@ CONFIG_FIELDS = frozenset((
     "schema_version", "n", "length", "t_end", "dt", "cfl", "dealias", "snapshot_stride",
     "breaking_stop", "sobolev_s", "vorticity", "coefficients", "initial", "amplitude",
     "mode", "width", "center", "seed", "max_mode"))
+COEFFICIENT_NAMES = [f.name for f in fields(GeneralCoefficients)]
 
 DISPERSION_NOTE = ("linear phase: omega(k) = k*(c + (beta0/beta)*k^2)/(1 + k^2) "
                    "for the rescaled form; sign fixed by one-time symbolic derivation")
@@ -196,14 +198,18 @@ def cmd_verify(args) -> int:
     m = model_coefficients(args.A)
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    g_override = None
-    if args.inject_fault:
-        if not hasattr(g, args.inject_fault):
-            raise ConfigError(f"unknown coefficient for fault injection: {args.inject_fault!r}; "
-                              f"options: {sorted(g.to_dict())}")
-        g_override = perturbed(g, args.inject_fault)
+    fault, g_override = args.inject_fault, None
+    if fault is not None:
+        if fault not in COEFFICIENT_NAMES:
+            raise ConfigError(f"unknown coefficient for fault injection: {fault!r}; "
+                              f"options: {sorted(COEFFICIENT_NAMES)}")
+        if getattr(g, fault) == 0:  # a relative perturbation leaves it 0
+            raise ConfigError(f"--inject-fault {fault} injects nothing: {fault} is 0 at A = {args.A:g}")
+        g_override = perturbed(g, fault)
     if args.only is not None and args.only not in SUITES:
         raise ConfigError(f"unknown suite {args.only!r}; options: {sorted(SUITES)}")
+    if fault is not None and args.only not in (None, "form_equivalence"):  # the suite that reads it
+        raise ConfigError(f"--inject-fault injects nothing into --only {args.only}")
     if args.json:
         _check_writable(args.json)
     names = list(SUITES) if args.only is None else [args.only]
@@ -214,11 +220,10 @@ def cmd_verify(args) -> int:
               f"tol={e['tolerance']:.1e}  {flag}")
     if args.json:
         _write_text(args.json, _strict_json(entries))
-    if not all(e["pass"] for e in entries):
-        failing = [e["check"] for e in entries if not e["pass"]]
+    failing = [e["check"] for e in entries if not e["pass"]]
+    if failing:
         print(f"failing checks: {', '.join(failing)}", file=sys.stderr)
-        return 1
-    return 0
+    return 1 if failing else 0
 
 
 # ---------------------------------------------------------------------------
@@ -305,15 +310,14 @@ def coefficients_from_config(cfg: dict):
         a = _number(cfg, "vorticity")
         return vorticity_coefficients(a, "config: field 'vorticity'"), {"vorticity": a}
     raw = _require(cfg, "coefficients", dict)
-    names = [f.name for f in GeneralCoefficients.__dataclass_fields__.values()]  # type: ignore[attr-defined]
-    unknown = sorted(set(raw) - set(names))
+    unknown = sorted(set(raw) - set(COEFFICIENT_NAMES))
     if unknown:
         raise ConfigError(f"config: unknown coefficient fields {unknown}")
-    missing = sorted(set(names) - set(raw))
+    missing = sorted(set(COEFFICIENT_NAMES) - set(raw))
     if missing:
         raise ConfigError(f"config: coefficients object missing {missing}")
     g = GeneralCoefficients(**{k: _number(raw, k, context="config: coefficients")
-                               for k in names})
+                               for k in COEFFICIENT_NAMES})
     return g, {"explicit_coefficients": True}
 
 
@@ -346,8 +350,10 @@ def sim_config_from_dict(cfg: dict):
         raise ConfigError(f"config: {exc}")
     g, provenance = coefficients_from_config(cfg)
     policy = cfg.get("dealias", "two_thirds")
-    if policy is not None and not (isinstance(policy, str) and policy in DEALIAS_FRACTIONS):
-        raise ConfigError(f"config: field 'dealias' must be {'|'.join(DEALIAS_FRACTIONS)}|null, got {policy!r}")
+    try:
+        grid.retained_bins(policy)
+    except ValueError:
+        raise ConfigError(f"config: field 'dealias' must be {'|'.join(DEALIAS_FRACTIONS)}|null, got {policy!r}") from None
     try:
         sim = SimConfig(
             grid=grid,

@@ -58,8 +58,9 @@ DIAGNOSTICS_HEADER = "t,sup_u,min_ux,max_ux,h1,hs,breaking_integral,ch_energy"
 class SimConfig:
     """Run description: grid, coefficients, stepping and output cadence.
 
-    Exactly one of ``dt`` (fixed step) or ``cfl`` (Courant number in (0, 1],
-    step recomputed from the advection speed) must be set.  ``forcing`` is an
+    Exactly one of ``dt`` (fixed step) or ``cfl`` (Courant number in (0, 1];
+    each step is the smaller of the stability cap and the error-controlled
+    proposal, see ``integrate``) must be set.  ``forcing`` is an
     optional callable (t, x_array) -> array added to the right-hand side,
     used by the manufactured-solution harness.  ``breaking_stop`` stops the
     run once min u_x falls to or below the given value (< 0; min u_x <= 0 always).
@@ -239,8 +240,7 @@ def step_rk4(plan: LawsonRK4, w: np.ndarray, dt: float, t: float = 0.0) -> np.nd
 def advection_speed_bound(v: np.ndarray, g: GeneralCoefficients) -> float:
     """CFL speed max|alpha2 v + alpha3 v^2| of the samples v; alpha1 is part
     of the linear drift, which the step advances exactly."""
-    speed = g.alpha2 * v + g.alpha3 * v * v if g.alpha3 else g.alpha2 * v
-    return float(np.max(np.abs(speed)))
+    return float(np.max(np.abs(g.alpha2 * v + g.alpha3 * v * v)))
 
 
 def _diagnose(plan: LawsonRK4, w: np.ndarray, t: float, s: float,

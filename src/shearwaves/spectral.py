@@ -45,7 +45,6 @@ class Grid:
         # the retained band of each dealias policy: bins 0..m-1, |k| <= fraction k_max
         self.dealias_bins = {policy: int(np.count_nonzero(k <= fraction * self.k_max))
                              for policy, fraction in {None: np.inf, **DEALIAS_FRACTIONS}.items()}
-        self._sobolev_weights = {}
 
     def retained_bins(self, policy: str | None) -> int:
         """Number m of leading half-spectrum bins a dealias policy keeps; None
@@ -56,15 +55,6 @@ class Grid:
         except (KeyError, TypeError):
             raise ValueError(f"unknown dealias policy {policy!r}; "
                              f"options: {sorted(DEALIAS_FRACTIONS)}") from None
-
-    def sobolev_weight(self, s: float) -> np.ndarray:
-        """The read-only row (1+k^2)^s on every bin, built on the first call
-        with each s and kept on the grid."""
-        weight = self._sobolev_weights.get(s)
-        if weight is None:
-            weight = self._sobolev_weights[s] = (1.0 + self.k**2) ** s
-            weight.flags.writeable = False
-        return weight
 
     @cached_property
     def csv_template(self) -> str:
@@ -143,11 +133,10 @@ def sobolev_norm(grid: Grid, u_hat: np.ndarray, s: float) -> float:
     the Nyquist bin when m = n/2+1, stands for itself and its conjugate.
 
     Normalized so that s = 0 reproduces the L^2 quadrature norm and s = 1
-    squares to the energy integral of u^2 + u_x^2.  The weights (1+k^2)^s
-    come from ``grid.sobolev_weight(s)``, built once per grid and s.
+    squares to the energy integral of u^2 + u_x^2.
     """
     m = u_hat.shape[-1]
-    power = grid.sobolev_weight(s)[:m] * np.abs(u_hat / grid.n) ** 2
+    power = (1.0 + grid.k[:m]**2) ** s * np.abs(u_hat / grid.n) ** 2
     nyquist = power[-1] if m == grid.k.size else 0.0
     return float(np.sqrt(grid.length * (2.0 * np.sum(power) - power[0] - nyquist)))
 

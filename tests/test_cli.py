@@ -13,6 +13,7 @@ import pytest
 
 from shearwaves import checks, cli, solver
 from shearwaves.cli import main
+from shearwaves.coeffs import model_coefficients, perturbed
 from shearwaves.solver import integrate
 from shearwaves.spectral import csv_text, field_to_csv
 
@@ -84,6 +85,23 @@ def test_verify_fault_injection_names_failing_check(tmp_path, capsys):
 
 def test_verify_fault_unknown_field(capsys):
     assert run_cli("verify", "--inject-fault", "nope") == 2
+
+
+@pytest.mark.parametrize("a", [0.0, 1e-5, 1e-4, 7e-4, 1e-3])
+def test_form_equivalence_passes_near_the_irrotational_limit(a):
+    # a cubic flux of modes <= 10 is resolved to round-off on n = 64 as on
+    # n = 256, so the refinement pair has no error to reduce
+    entries = checks.SUITES["form_equivalence"](20240, model_coefficients(a), None)
+    assert [e["check"] for e in entries] == ["form_equivalence", "form_equivalence_refinement"]
+    assert all(e["pass"] for e in entries), entries
+
+
+@pytest.mark.parametrize("a", [0.0, 1.5])
+@pytest.mark.parametrize("fault", ["beta3", "beta8", "gamma"])
+def test_form_equivalence_faults_fail_both_entries(a, fault):
+    g = cli.vorticity_coefficients(a, "A")
+    entries = checks.SUITES["form_equivalence"](20240, model_coefficients(a), perturbed(g, fault))
+    assert not any(e["pass"] for e in entries), entries
 
 
 @pytest.mark.parametrize("nan_field", [4, 37])
@@ -463,6 +481,20 @@ def _simulate_into_file(tmp_path):
     pytest.param(lambda d: ["convergence", "--json", str(d)], "cannot write",
                  id="convergence-json-directory"),
     pytest.param(_simulate_into_file, "cannot create run directory", id="simulate-out-file"),
+    # fault injections that inject nothing: an attribute of the coefficient
+    # record that is not a coefficient, a coefficient that is 0 at the given A
+    # (a relative perturbation keeps beta4..beta6 at -0.0 at A = 0), and a
+    # suite other than form_equivalence, the one that reads the fault
+    *(pytest.param(lambda d, name=name: ["verify", "--inject-fault", name],
+                   f"fault injection: {name!r}; options: ['alpha1', 'alpha2', 'alpha3', "
+                   "'beta1', 'beta2', 'beta3', 'beta4', 'beta5', 'beta6', 'beta7', 'beta8', "
+                   "'gamma']", id=f"verify-fault-{name}") for name in ("to_dict", "__doc__")),
+    *(pytest.param(lambda d, name=name: ["verify", "--A", "0", "--inject-fault", name],
+                   f"--inject-fault {name} injects nothing: {name} is 0 at A = 0",
+                   id=f"verify-fault-A0-{name}") for name in ("beta4", "beta6")),
+    *(pytest.param(lambda d, suite=suite: ["verify", "--only", suite, "--inject-fault", "beta3"],
+                   f"--inject-fault injects nothing into --only {suite}",
+                   id=f"verify-fault-only-{suite}") for suite in ("besov", "helmholtz", "rescale")),
 ])
 def test_bad_command_line_input(tmp_path, capsys, monkeypatch, argv, message_part):
     def no_work(*args):
