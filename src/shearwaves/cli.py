@@ -23,6 +23,7 @@ import numpy as np
 from .checks import MIN_ORDER, MIN_RATIO, SUITES, spatial_error_ratio, temporal_order
 from .coeffs import (
     GeneralCoefficients,
+    ModelCoefficients,
     derived_intermediates,
     identity_suite,
     model_coefficients,
@@ -140,16 +141,14 @@ def cmd_coeffs(args) -> int:
         _check_writable(args.out)
     g = vorticity_coefficients(args.A, "--A")
     if args.sweep is not None:
-        header = ["A", "c", "alpha", "beta", "beta0"] + [f"omega{i}" for i in range(1, 8)] \
-            + ["z0", "identities_pass", "max_residual"]
+        header = [f.name for f in fields(ModelCoefficients)] + ["identities_pass", "max_residual"]
         lines = [",".join(header)]
         all_ok = True
         for a in _parse_sweep(args.sweep):
-            d = model_coefficients(a).to_dict()
             checks = identity_suite(a)
             ok = all(c.passed for c in checks)
             all_ok &= ok
-            cells = [f"{d[k]:.17g}" for k in header[:-2]]
+            cells = [f"{v:.17g}" for v in model_coefficients(a).to_dict().values()]
             cells += [str(int(ok)), f"{max(c.residual for c in checks):.3e}"]
             lines.append(",".join(cells))
         text = "\n".join(lines) + "\n"

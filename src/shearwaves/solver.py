@@ -21,9 +21,9 @@ N(w, t), the next step's first stage ("first same as last", FSAL) and the
 estimate's fifth, and ``plan.work.values`` holds its samples (u, u_x).
 
 Diagnostics track the wave-breaking criterion: the time integral of the
-squared sup-norm of the slope, accumulated with the trapezoid rule, stays
-finite exactly while the solution persists.  A record reads the step's
-samples (u, u_x) and carried spectrum, so it takes no transform.
+squared sup-norm of the slope, a trapezoid sum over the accepted steps, stays
+finite exactly while the solution persists.  A record copies the sum and
+reads the step's samples (u, u_x) and carried spectrum: no transform.
 ``breaking_monitor`` looks for the finite-time signature (slope blow-up at
 bounded amplitude); a simulation can only ever exhibit the signature, not
 prove blow-up.
@@ -31,7 +31,7 @@ prove blow-up.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field, fields, replace
 
 import numpy as np
 
@@ -51,9 +51,6 @@ __all__ = [
     "DIAGNOSTICS_HEADER",
 ]
 
-DIAGNOSTICS_HEADER = "t,sup_u,min_ux,max_ux,h1,hs,breaking_integral,ch_energy"
-
-
 @dataclass
 class SimConfig:
     """Run description: grid, coefficients, stepping and output cadence.
@@ -62,8 +59,8 @@ class SimConfig:
     each step is the smaller of the stability cap and the error-controlled
     proposal, see ``integrate``) must be set.  ``forcing`` is an
     optional callable (t, x_array) -> array added to the right-hand side,
-    used by the manufactured-solution harness.  ``breaking_stop`` stops the
-    run once min u_x falls to or below the given value (< 0; min u_x <= 0 always).
+    used by the manufactured-solution harness.  ``breaking_stop`` ends the
+    run at the first step with min u_x <= it (< 0; min u_x <= 0 always).
     """
 
     grid: Grid
@@ -111,8 +108,10 @@ class DiagnosticsRecord:
     ch_energy: float
 
     def csv_row(self) -> str:
-        return ",".join(f"{getattr(self, name):.17g}"
-                        for name in DIAGNOSTICS_HEADER.split(","))
+        return ",".join(f"{value:.17g}" for value in vars(self).values())  # in field order
+
+
+DIAGNOSTICS_HEADER = ",".join(f.name for f in fields(DiagnosticsRecord))
 
 
 @dataclass
@@ -244,22 +243,16 @@ def advection_speed_bound(v: np.ndarray, g: GeneralCoefficients) -> float:
 
 
 def _diagnose(plan: LawsonRK4, w: np.ndarray, t: float, s: float,
-              prev: DiagnosticsRecord | None) -> DiagnosticsRecord:
-    """Record of w from the samples (u, u_x) its rate left in ``plan.work``."""
+              integral: float) -> DiagnosticsRecord:
+    """Record of w at t from the samples (u, u_x) its rate left in
+    ``plan.work``; ``integral`` is the breaking integral up to t."""
     grid = plan.grid
     u, ux = plan.work.values
-    min_ux, max_ux = float(np.min(ux)), float(np.max(ux))
-    slope_sup = max(abs(min_ux), abs(max_ux))
-    integral = 0.0 if prev is None else prev.breaking_integral
-    if prev is not None:
-        prev_slope = max(abs(prev.min_ux), abs(prev.max_ux))
-        # float ** raises OverflowError past about 1.3e154; * gives inf
-        integral += 0.5 * (t - prev.t) * (prev_slope * prev_slope + slope_sup * slope_sup)
     return DiagnosticsRecord(
         t=t,
         sup_u=float(np.max(np.abs(u))),
-        min_ux=min_ux,
-        max_ux=max_ux,
+        min_ux=float(np.min(ux)),
+        max_ux=float(np.max(ux)),
         h1=sobolev_norm(grid, w, 1.0),
         hs=sobolev_norm(grid, w, s),
         breaking_integral=integral,
@@ -287,16 +280,18 @@ def _step_factor(err: float) -> float:
 @np.errstate(over="ignore", invalid="ignore")
 def integrate(cfg: SimConfig, u0: Field) -> Trajectory:
     """Advance u0 to t_end, or stop early on a breaking threshold, loss of
-    finiteness or a CFL step too small to reach t_end.  Diagnostics and
-    snapshots every ``snapshot_stride`` accepted steps.  An overflow raises no
-    floating-point warning: ``termination = "nonfinite"`` is its one report.
+    finiteness or a CFL step too small to reach t_end.  Every accepted step
+    adds its trapezoid term to the breaking integral and tests the stop;
+    diagnostics and snapshots at t = 0, every ``snapshot_stride`` steps, at
+    t_end and at the stop.  An overflow raises no floating-point warning:
+    ``termination = "nonfinite"`` is its one report.
 
     One ``LawsonRK4`` plan serves the whole run.  The state is carried as its
     retained half-spectrum in one array that every step advances in place:
     one rfft of u0 and one rate evaluation, then 8 transform calls per
     attempted step, whose last rate evaluation also gives the samples (u, u_x)
-    that the CFL bound, the finiteness check and the records read; records
-    take no transform, and every snapshot, the first included, is irfft(w).
+    that the CFL bound, the finiteness check, the integral and the records
+    read; records take no transform, and every snapshot is irfft(w).
 
     A CFL step is the smaller of the stability cap at the state it starts
     from and the last step size times ``_step_factor`` of its error estimate
@@ -312,22 +307,20 @@ def integrate(cfg: SimConfig, u0: Field) -> Trajectory:
     plan = LawsonRK4(grid, g, cfg.dealias_policy, cfg.forcing)
     w = np.fft.rfft(u0.values)[:plan.m]
     plan.rate(w, plan.k1, 0.0)
-    values = plan.work.values[0]
-    t = 0.0
+    values, slopes = plan.work.values
+    t = integral = 0.0
+    slope = max(abs(float(slopes.min())), abs(float(slopes.max())))
     traj = Trajectory()
 
-    def record(time):
-        prev = traj.records[-1] if traj.records else None
-        rec = _diagnose(plan, w, time, cfg.sobolev_s, prev)
-        traj.records.append(rec)
+    def record():
+        traj.records.append(_diagnose(plan, w, t, cfg.sobolev_s, integral))
         traj.snapshots.append(Field(grid, values.copy()))
-        return rec
 
     def stability_cap():
         speed = advection_speed_bound(values, g)
         return cfg.cfl * grid.dx / speed if speed > 0 else math.inf
 
-    record(t)
+    record()
     tiny = 1e-12 * cfg.t_end
     if cfg.cfl is not None:
         cap = stability_cap()
@@ -351,15 +344,20 @@ def integrate(cfg: SimConfig, u0: Field) -> Trajectory:
                 traj.rejected_steps += 1
                 continue
             cap = stability_cap()
+        t_prev, slope_prev = t, slope
         t += dt
         traj.t_final = t
         traj.steps += 1
-        at_end = t >= cfg.t_end - tiny
-        if traj.steps % cfg.snapshot_stride == 0 or at_end:
-            rec = record(t)
-            if cfg.breaking_stop is not None and rec.min_ux <= cfg.breaking_stop:
-                traj.termination = "breaking_detected"
-                return traj
+        min_ux = float(slopes.min())
+        slope = max(abs(min_ux), abs(float(slopes.max())))
+        # float ** raises OverflowError past about 1.3e154; * gives inf
+        integral += 0.5 * (t - t_prev) * (slope_prev * slope_prev + slope * slope)
+        stop = cfg.breaking_stop is not None and min_ux <= cfg.breaking_stop
+        if stop or traj.steps % cfg.snapshot_stride == 0 or t >= cfg.t_end - tiny:
+            record()
+        if stop:
+            traj.termination = "breaking_detected"
+            return traj
     traj.termination = "completed"
     return traj
 

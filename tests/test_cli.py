@@ -96,6 +96,18 @@ def test_form_equivalence_passes_near_the_irrotational_limit(a):
     assert all(e["pass"] for e in entries), entries
 
 
+@pytest.mark.parametrize("a", ["0", "1.5"])
+def test_refinement_entry_reports_what_passed_it(tmp_path, a):
+    # at A = 0 the round-off floor passes the entry, which then reports the
+    # coarse residual against 1e-12; at A = 1.5 the fine/coarse ratio against 1e-3
+    report = tmp_path / "report.json"
+    assert run_cli("verify", "--A", a, "--only", "form_equivalence", "--json", str(report)) == 0
+    entry = json.loads(report.read_text())[1]
+    assert entry["check"] == "form_equivalence_refinement" and entry["pass"]
+    assert entry["tolerance"] == (1e-12 if a == "0" else 1e-3)
+    assert entry["residual"] < entry["tolerance"]
+
+
 @pytest.mark.parametrize("a", [0.0, 1.5])
 @pytest.mark.parametrize("fault", ["beta3", "beta8", "gamma"])
 def test_form_equivalence_faults_fail_both_entries(a, fault):

@@ -425,8 +425,8 @@ def test_records_take_their_norms_from_the_carried_spectrum(monkeypatch):
     # h1 and hs are sobolev_norm of the carried spectrum itself
     seen = []
 
-    def recorded(plan, w, t, s, prev):
-        rec = diagnose(plan, w, t, s, prev)
+    def recorded(plan, w, t, s, integral):
+        rec = diagnose(plan, w, t, s, integral)
         seen.append((w.copy(), s, rec))
         return rec
 
@@ -563,16 +563,21 @@ def test_readme_config_cfl_run_matches_a_fine_fixed_step():
     assert np.max(np.abs(adaptive - fine)) < 1e-7 * np.max(np.abs(fine))
 
 
-def test_diagnose_squares_a_huge_finite_slope_without_overflow():
-    # a finite slope above 1.3e154 squares to inf, where float ** would raise
+def test_breaking_integral_squares_a_huge_finite_slope_without_overflow(monkeypatch):
+    # a finite slope above 1.3e154 squares to inf, where float ** would raise;
+    # no real step ends there (its last stage overflows), so a stand-in step
+    # scales the state up and leaves the finite samples of the result
+    def scaled(plan, w, dt, t=0.0):
+        w *= 1e155
+        plan.rate(w, plan.k1, t + dt)
+        return w
+
+    monkeypatch.setattr(solver, "step_rk4", scaled)
     grid = Grid(64, 40.0)
-    plan = LawsonRK4(grid, CH)
-    w = np.fft.rfft(1e154 * np.sin(2 * np.pi * grid.x / 40.0) * 40.0)
-    prev = solver.DiagnosticsRecord(t=0.0, sup_u=1.0, min_ux=-2e154, max_ux=2e154, h1=1.0,
-                                    hs=1.0, breaking_integral=1.0, ch_energy=1.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        plan.rate(w, plan.k1, 0.0)
-        rec = solver._diagnose(plan, w, 0.1, 1.5, prev)
+    cfg = SimConfig(grid=grid, coefficients=CH, t_end=0.1, dt=0.1)
+    traj = integrate(cfg, Field(grid, np.sin(2 * np.pi * grid.x / 40.0)))
+    assert traj.termination == "completed" and traj.steps == 1
+    rec = traj.records[-1]
     assert abs(rec.min_ux) > 1.3e154 and math.isfinite(rec.min_ux)
     assert rec.breaking_integral == math.inf
 
@@ -605,19 +610,42 @@ def test_overflow_ends_nonfinite_without_warnings():
 
 
 def test_breaking_integral_is_nondecreasing_and_second_order():
+    # the trapezoid runs over accepted steps, so the stride leaves the integral
+    # bitwise unchanged; its error is second order in dt (ratio ~ 4)
     grid = Grid(512, 40.0)
     u0 = Field(grid, -1.5 * np.sin(2 * np.pi * grid.x / 40.0))
-    results = {}
+    cfg = SimConfig(grid=grid, coefficients=CH, t_end=1.5, dt=2.5e-3)
+    finals = set()
     for stride in (1, 4, 8, 16):
-        cfg = SimConfig(grid=grid, coefficients=CH, t_end=1.5, dt=2.5e-3,
-                        snapshot_stride=stride)
-        traj = integrate(cfg, u0)
+        traj = integrate(dataclasses.replace(cfg, snapshot_stride=stride), u0)
         bi = [r.breaking_integral for r in traj.records]
         assert all(b2 >= b1 for b1, b2 in zip(bi, bi[1:]))
-        results[stride] = bi[-1]
-    e8 = abs(results[8] - results[1])
-    e16 = abs(results[16] - results[1])
-    assert e16 / e8 > 2.5  # second order in the record stride (ratio ~ 4)
+        finals.add(bi[-1])
+    assert len(finals) == 1
+    by_dt = [integrate(dataclasses.replace(cfg, dt=dt, snapshot_stride=10**9), u0)
+             .records[-1].breaking_integral for dt in (1e-2, 5e-3, 2.5e-3, 1.25e-3)]
+    diffs = [abs(a - b) for a, b in zip(by_dt, by_dt[1:])]
+    assert by_dt[2] in finals
+    assert all(d1 / d2 > 2.5 for d1, d2 in zip(diffs, diffs[1:]))
+
+
+def test_breaking_stop_falls_on_the_same_step_at_any_stride():
+    # the stop is tested after every accepted step: 57 steps at n = 256, a
+    # step that strides 7 and 100 do not record, so the stop records it
+    grid = Grid(256, 40.0)
+    u0 = Field(grid, -1.5 * np.sin(2 * np.pi * grid.x / 40.0))
+    stop = -6.0 * 1.5 * 2 * np.pi / 40.0
+    cfg = SimConfig(grid=grid, coefficients=CH, t_end=14.0, cfl=0.3, breaking_stop=stop)
+    runs = [integrate(dataclasses.replace(cfg, snapshot_stride=stride), u0)
+            for stride in (1, 7, 100)]
+    assert [len(traj.records) for traj in runs] == [58, 10, 2]
+    for traj in runs:
+        assert traj.termination == "breaking_detected"
+        assert (traj.steps, traj.t_final) == (runs[0].steps, runs[0].t_final)
+        assert traj.records[-1] == runs[0].records[-1]
+        assert traj.records[-1].t == traj.t_final
+        assert traj.records[-1].min_ux <= stop < traj.records[-2].min_ux
+        assert np.array_equal(traj.final().values, runs[0].final().values)
 
 
 def _breaking_run(a=1.5, n=1024, cfl=0.3):
