@@ -455,7 +455,7 @@ def write_run_outputs(outdir: Path, cfg: dict, sim: SimConfig, provenance: dict,
         "provenance": provenance,
         "termination": traj.termination,
         "t_final": traj.t_final,
-        "breaking_verdict": breaking_monitor(traj.records),
+        "breaking_verdict": breaking_monitor(traj.series),
         "records": len(traj.records),
         "steps": traj.steps,
         "rejected_steps": traj.rejected_steps,

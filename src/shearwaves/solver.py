@@ -22,11 +22,11 @@ estimate's fifth, and ``plan.work.values`` holds its samples (u, u_x).
 
 Diagnostics track the wave-breaking criterion: the time integral of the
 squared sup-norm of the slope, a trapezoid sum over the accepted steps, stays
-finite exactly while the solution persists.  A record copies the sum and
-reads the step's samples (u, u_x) and carried spectrum: no transform.
-``breaking_monitor`` looks for the finite-time signature (slope blow-up at
-bounded amplitude); a simulation can only ever exhibit the signature, not
-prove blow-up.
+finite exactly while the solution persists.  Each accepted state gets one
+row of ``Trajectory.series`` (t, sup_u, min_ux, max_ux, breaking_integral),
+which the stop, the records and ``breaking_monitor`` read.  The monitor looks
+for the finite-time signature (slope blow-up at bounded amplitude); a
+simulation can only ever exhibit the signature, not prove blow-up.
 """
 from __future__ import annotations
 
@@ -118,6 +118,7 @@ DIAGNOSTICS_HEADER = ",".join(f.name for f in fields(DiagnosticsRecord))
 class Trajectory:
     snapshots: list = dataclass_field(default_factory=list)
     records: list = dataclass_field(default_factory=list)
+    series: np.ndarray = None  # a row per accepted state: t, sup_u, min/max u_x, breaking integral
     termination: str = "completed"
     t_final: float = 0.0  # time of the last accepted state, whatever ended the run
     steps: int = 0
@@ -242,22 +243,14 @@ def advection_speed_bound(v: np.ndarray, g: GeneralCoefficients) -> float:
     return float(np.max(np.abs(g.alpha2 * v + g.alpha3 * v * v)))
 
 
-def _diagnose(plan: LawsonRK4, w: np.ndarray, t: float, s: float,
-              integral: float) -> DiagnosticsRecord:
-    """Record of w at t from the samples (u, u_x) its rate left in
-    ``plan.work``; ``integral`` is the breaking integral up to t."""
+def _diagnose(plan: LawsonRK4, w: np.ndarray, row: np.ndarray, s: float) -> DiagnosticsRecord:
+    """Record of w from its series row and the samples (u, u_x) in ``plan.work``."""
     grid = plan.grid
     u, ux = plan.work.values
-    return DiagnosticsRecord(
-        t=t,
-        sup_u=float(np.max(np.abs(u))),
-        min_ux=float(np.min(ux)),
-        max_ux=float(np.max(ux)),
-        h1=sobolev_norm(grid, w, 1.0),
-        hs=sobolev_norm(grid, w, s),
-        breaking_integral=integral,
-        ch_energy=float(grid.dx * np.sum(u**2 + ux**2)),
-    )
+    t, sup_u, min_ux, max_ux, integral = row.tolist()
+    return DiagnosticsRecord(t, sup_u, min_ux, max_ux, h1=sobolev_norm(grid, w, 1.0),
+                             hs=sobolev_norm(grid, w, s), breaking_integral=integral,
+                             ch_energy=float(grid.dx * np.sum(u**2 + ux**2)))
 
 
 # error control of CFL steps (see ``integrate``)
@@ -280,18 +273,18 @@ def _step_factor(err: float) -> float:
 @np.errstate(over="ignore", invalid="ignore")
 def integrate(cfg: SimConfig, u0: Field) -> Trajectory:
     """Advance u0 to t_end, or stop early on a breaking threshold, loss of
-    finiteness or a CFL step too small to reach t_end.  Every accepted step
-    adds its trapezoid term to the breaking integral and tests the stop;
-    diagnostics and snapshots at t = 0, every ``snapshot_stride`` steps, at
-    t_end and at the stop.  An overflow raises no floating-point warning:
+    finiteness or a CFL step too small to reach t_end.  Every accepted state
+    gets its series row, its trapezoid term of the breaking integral included,
+    and a stop test; records and snapshots at t = 0, every ``snapshot_stride``
+    steps, at t_end and at the stop.  An overflow raises no floating-point warning:
     ``termination = "nonfinite"`` is its one report.
 
     One ``LawsonRK4`` plan serves the whole run.  The state is carried as its
     retained half-spectrum in one array that every step advances in place:
     one rfft of u0 and one rate evaluation, then 8 transform calls per
     attempted step, whose last rate evaluation also gives the samples (u, u_x)
-    that the CFL bound, the finiteness check, the integral and the records
-    read; records take no transform, and every snapshot is irfft(w).
+    that the CFL bound, the finiteness check and the series row read;
+    records take no transform, and every snapshot is irfft(w).
 
     A CFL step is the smaller of the stability cap at the state it starts
     from and the last step size times ``_step_factor`` of its error estimate
@@ -308,18 +301,33 @@ def integrate(cfg: SimConfig, u0: Field) -> Trajectory:
     w = np.fft.rfft(u0.values)[:plan.m]
     plan.rate(w, plan.k1, 0.0)
     values, slopes = plan.work.values
-    t = integral = 0.0
-    slope = max(abs(float(slopes.min())), abs(float(slopes.max())))
+    t = 0.0
     traj = Trajectory()
+    series = np.empty((256, 5))
+
+    def measure():  # the series row of the state at t; returns min u_x
+        nonlocal series
+        if traj.steps == len(series):
+            series = np.concatenate((series, np.empty_like(series)))
+        min_ux, max_ux = float(slopes.min()), float(slopes.max())
+        integral = 0.0
+        if traj.steps:
+            t_prev, _, min_prev, max_prev, integral = series[traj.steps - 1].tolist()
+            slope_prev, slope = max(abs(min_prev), abs(max_prev)), max(abs(min_ux), abs(max_ux))
+            # float ** raises OverflowError past about 1.3e154; * gives inf
+            integral += 0.5 * (t - t_prev) * (slope_prev * slope_prev + slope * slope)
+        series[traj.steps] = (t, float(np.abs(values).max()), min_ux, max_ux, integral)
+        return min_ux
 
     def record():
-        traj.records.append(_diagnose(plan, w, t, cfg.sobolev_s, integral))
+        traj.records.append(_diagnose(plan, w, series[traj.steps], cfg.sobolev_s))
         traj.snapshots.append(Field(grid, values.copy()))
 
     def stability_cap():
         speed = advection_speed_bound(values, g)
         return cfg.cfl * grid.dx / speed if speed > 0 else math.inf
 
+    measure()
     record()
     tiny = 1e-12 * cfg.t_end
     if cfg.cfl is not None:
@@ -329,12 +337,12 @@ def integrate(cfg: SimConfig, u0: Field) -> Trajectory:
         dt = cfg.dt if cfg.dt is not None else min(proposal, cap)
         if cfg.cfl is not None and dt < STEP_MIN_FRACTION * cfg.t_end:  # before the clip to t_end
             traj.termination = "step_size_underflow"
-            return traj
+            break
         dt = min(dt, cfg.t_end - t)
         step_rk4(plan, w, dt, t)
         if not np.all(np.isfinite(values)):
             traj.termination = "nonfinite"
-            return traj
+            break
         if cfg.cfl is not None:
             err = plan.error(w, dt)
             proposal = dt * _step_factor(err)
@@ -344,21 +352,17 @@ def integrate(cfg: SimConfig, u0: Field) -> Trajectory:
                 traj.rejected_steps += 1
                 continue
             cap = stability_cap()
-        t_prev, slope_prev = t, slope
         t += dt
-        traj.t_final = t
         traj.steps += 1
-        min_ux = float(slopes.min())
-        slope = max(abs(min_ux), abs(float(slopes.max())))
-        # float ** raises OverflowError past about 1.3e154; * gives inf
-        integral += 0.5 * (t - t_prev) * (slope_prev * slope_prev + slope * slope)
+        min_ux = measure()
         stop = cfg.breaking_stop is not None and min_ux <= cfg.breaking_stop
         if stop or traj.steps % cfg.snapshot_stride == 0 or t >= cfg.t_end - tiny:
             record()
         if stop:
             traj.termination = "breaking_detected"
-            return traj
-    traj.termination = "completed"
+            break
+    traj.t_final = t
+    traj.series = series[:traj.steps + 1]
     return traj
 
 
@@ -368,43 +372,39 @@ AMPLITUDE_CHANGE = 0.10
 SUPERLINEAR_FACTOR = 2.0
 
 
-def breaking_monitor(records) -> str:
-    """Classify a diagnostics series as ``breaking_signature`` or
+def breaking_monitor(series) -> str:
+    """Classify a diagnostics series, ``Trajectory.series`` or a list of
+    ``DiagnosticsRecord`` read as its columns, as ``breaking_signature`` or
     ``no_breaking_evidence``.
 
     The signature requires jointly: (a) the breaking integral grows at least
-    ``SUPERLINEAR_FACTOR`` times faster over the final fifth of recorded time
-    than before it, (b) min u_x fell by at least ``SLOPE_GROWTH`` from its
-    initial value, (c) the amplitude changed by less than
+    ``SUPERLINEAR_FACTOR`` times faster over the final fifth of the series'
+    time than before it, (b) min u_x fell by at least ``SLOPE_GROWTH`` from
+    its initial value, (c) the amplitude changed by less than
     ``AMPLITUDE_CHANGE`` relative.  The verdict is evidence, not a proof of
     blow-up.
     """
-    if len(records) < 5:
+    if not isinstance(series, np.ndarray):
+        series = np.array([(r.t, r.sup_u, r.min_ux, r.max_ux, r.breaking_integral) for r in series])
+    if len(series) < 5:
         return "no_breaking_evidence"
-    t0, t_final = records[0].t, records[-1].t
-    if not t_final > t0:
+    t, sup_u, min_ux, _, integral = series.T
+    if not t[-1] > t[0]:
         return "no_breaking_evidence"
 
-    t_split = t0 + 0.8 * (t_final - t0)
-    head = [r for r in records if r.t <= t_split]
-    tail = [r for r in records if r.t >= t_split]
-    if len(head) < 2 or len(tail) < 2:
+    t_split = t[0] + 0.8 * (t[-1] - t[0])
+    head = np.searchsorted(t, t_split, side="right")  # rows [:head] have t <= t_split
+    tail = np.searchsorted(t, t_split, side="left")  # rows [tail:] have t >= t_split
+    if head < 2 or len(t) - tail < 2:
         return "no_breaking_evidence"
-    g = records[-1].breaking_integral
-    g_split = head[-1].breaking_integral
-    rate_head = (g_split - records[0].breaking_integral) / max(head[-1].t - t0, 1e-300)
-    rate_tail = (g - tail[0].breaking_integral) / max(t_final - tail[0].t, 1e-300)
+    rate_head = (integral[head - 1] - integral[0]) / max(t[head - 1] - t[0], 1e-300)
+    rate_tail = (integral[-1] - integral[tail]) / max(t[-1] - t[tail], 1e-300)
     superlinear = rate_tail >= SUPERLINEAR_FACTOR * rate_head and rate_tail > 0
 
-    base_slope = records[0].min_ux
-    worst_slope = min(r.min_ux for r in records)
-    slope_blowup = base_slope < 0 and worst_slope <= SLOPE_GROWTH * base_slope
+    slope_blowup = min_ux[0] < 0 and min_ux.min() <= SLOPE_GROWTH * min_ux[0]
 
-    base_amp = records[0].sup_u
-    if base_amp > 0:
-        amp_drift = max(abs(r.sup_u - base_amp) for r in records) / base_amp
-    else:
-        amp_drift = max(r.sup_u for r in records)
+    base_amp = sup_u[0]
+    amp_drift = np.max(np.abs(sup_u - base_amp)) / base_amp if base_amp > 0 else sup_u.max()
     amplitude_bounded = amp_drift < AMPLITUDE_CHANGE
 
     if superlinear and slope_blowup and amplitude_bounded:

@@ -425,8 +425,8 @@ def test_records_take_their_norms_from_the_carried_spectrum(monkeypatch):
     # h1 and hs are sobolev_norm of the carried spectrum itself
     seen = []
 
-    def recorded(plan, w, t, s, integral):
-        rec = diagnose(plan, w, t, s, integral)
+    def recorded(plan, w, row, s):
+        rec = diagnose(plan, w, row, s)
         seen.append((w.copy(), s, rec))
         return rec
 
@@ -675,6 +675,111 @@ def test_no_breaking_evidence_on_linear_run():
     cfg = SimConfig(grid=grid, coefficients=g_lin, t_end=2.0, dt=2e-3, snapshot_stride=20)
     traj = integrate(cfg, u0)
     assert breaking_monitor(traj.records) == "no_breaking_evidence"
+
+
+def _small_breaking_run(stride):
+    # the criterion-8 setup at n = 64: the smallest grid whose stride-1 series
+    # shows the breaking signature; it stops after 85 steps
+    grid = Grid(64, 40.0)
+    u0 = Field(grid, -1.5 * np.sin(2 * np.pi * grid.x / 40.0))
+    slope0 = 1.5 * 2 * np.pi / 40.0
+    cfg = SimConfig(grid=grid, coefficients=CH, t_end=14.0, cfl=0.3,
+                    snapshot_stride=stride, breaking_stop=-12.0 * slope0)
+    return integrate(cfg, u0)
+
+
+def _quiet_linear_run(stride):
+    g_lin = linear_subcase(normalize(model_coefficients(1.5)))
+    grid = Grid(128, 40.0)
+    u0 = Field(grid, 0.3 * np.sin(2 * np.pi * grid.x / 40.0))
+    cfg = SimConfig(grid=grid, coefficients=g_lin, t_end=2.0, dt=2e-3, snapshot_stride=stride)
+    return integrate(cfg, u0)
+
+
+def _record_list_monitor(records):
+    """The record-list form of the ``breaking_monitor`` rule, the reference
+    for its column form."""
+    if len(records) < 5:
+        return "no_breaking_evidence"
+    t0, t_final = records[0].t, records[-1].t
+    if not t_final > t0:
+        return "no_breaking_evidence"
+    t_split = t0 + 0.8 * (t_final - t0)
+    head = [r for r in records if r.t <= t_split]
+    tail = [r for r in records if r.t >= t_split]
+    if len(head) < 2 or len(tail) < 2:
+        return "no_breaking_evidence"
+    g, g_split = records[-1].breaking_integral, head[-1].breaking_integral
+    rate_head = (g_split - records[0].breaking_integral) / max(head[-1].t - t0, 1e-300)
+    rate_tail = (g - tail[0].breaking_integral) / max(t_final - tail[0].t, 1e-300)
+    superlinear = rate_tail >= 2.0 * rate_head and rate_tail > 0
+    base_slope = records[0].min_ux
+    slope_blowup = base_slope < 0 and min(r.min_ux for r in records) <= 10.0 * base_slope
+    base_amp = records[0].sup_u
+    if base_amp > 0:
+        amp_drift = max(abs(r.sup_u - base_amp) for r in records) / base_amp
+    else:
+        amp_drift = max(r.sup_u for r in records)
+    if superlinear and slope_blowup and amp_drift < 0.10:
+        return "breaking_signature"
+    return "no_breaking_evidence"
+
+
+def test_breaking_verdict_reads_every_accepted_step_at_any_stride():
+    # the series has a row per accepted step whatever the stride, so its
+    # verdict is the same at every stride; 2 records at strides 100 and 300
+    # are too few for the record-list verdict
+    runs = [_small_breaking_run(stride) for stride in (1, 7, 100, 300)]
+    assert [len(traj.records) for traj in runs] == [86, 14, 2, 2]
+    for traj in runs:
+        assert traj.termination == "breaking_detected"
+        assert np.array_equal(traj.series, runs[0].series)
+        assert breaking_monitor(traj.series) == "breaking_signature"
+    assert breaking_monitor(runs[2].records) == "no_breaking_evidence"
+
+
+def test_records_copy_their_series_row():
+    traj = _small_breaking_run(1)
+    assert len(traj.records) == len(traj.series) == traj.steps + 1
+    for rec, row in zip(traj.records, traj.series):
+        assert (rec.t, rec.sup_u, rec.min_ux, rec.max_ux, rec.breaking_integral) == tuple(row)
+
+
+def test_series_has_a_row_per_accepted_state_on_every_stop(monkeypatch):
+    # 1,000 steps outgrow the series' first 256 rows; the step floor and an
+    # overflow end the run between strides
+    completed = [_quiet_linear_run(stride) for stride in (1, 7)]
+    attempts, _ = _small_cfl_attempts(monkeypatch, 1.0)
+    monkeypatch.setattr(solver, "STEP_MIN_FRACTION", 1.000001 * min(attempts[:-1]))
+    floored = [_small_cfl_attempts(monkeypatch, 1.0, stride)[1] for stride in (1, 7)]
+    grid = Grid(64, 40.0)
+    u0 = Field(grid, 5.0 * np.sin(2 * np.pi * 5 * grid.x / 40.0))
+    cfg = SimConfig(grid=grid, coefficients=normalize(model_coefficients(1.5)), t_end=50.0, dt=0.5)
+    overflowed = [integrate(dataclasses.replace(cfg, snapshot_stride=stride), u0)
+                  for stride in (1, 7)]
+    assert completed[0].steps == 1000
+    for (dense, sparse), why in ((completed, "completed"), (floored, "step_size_underflow"),
+                                 (overflowed, "nonfinite")):
+        assert dense.termination == sparse.termination == why
+        assert dense.series.shape == (dense.steps + 1, 5)
+        assert np.array_equal(sparse.series, dense.series)
+        assert dense.series[-1, 0] == dense.t_final
+        assert np.all(np.diff(dense.series[:, 0]) > 0)
+
+
+def test_breaking_monitor_reads_series_and_records_alike():
+    # at stride 1 the records hold the series' columns; every prefix of the
+    # breaking run, and the quiet run, get the record-list rule's verdict
+    breaking, quiet = _small_breaking_run(1), _quiet_linear_run(1)
+    assert breaking_monitor(breaking.series) == "breaking_signature"
+    assert breaking_monitor(quiet.series) == "no_breaking_evidence"
+    verdicts = set()
+    prefixes = [(breaking, k) for k in range(len(breaking.records) + 1)]
+    for traj, k in [(quiet, len(quiet.records))] + prefixes:
+        verdict = _record_list_monitor(traj.records[:k])
+        assert breaking_monitor(traj.series[:k]) == breaking_monitor(traj.records[:k]) == verdict
+        verdicts.add(verdict)
+    assert verdicts == {"breaking_signature", "no_breaking_evidence"}
 
 
 def test_diagnostics_csv_header():
