@@ -70,7 +70,7 @@ class RateWorkspace:
 
 
 def rate_hat(u_hat: np.ndarray, grid: Grid, g: GeneralCoefficients, m: int,
-             out: np.ndarray, work: RateWorkspace) -> np.ndarray:
+             work: RateWorkspace) -> np.ndarray:
     """Retained half-spectrum of du/dt of the nonlocal Cauchy problem.
 
     du/dt = -(a1 + a2 u + a3 u^2) u_x
@@ -84,8 +84,8 @@ def rate_hat(u_hat: np.ndarray, grid: Grid, g: GeneralCoefficients, m: int,
     multipliers: two transform calls per evaluation.  A term whose
     coefficient is 0 is skipped, exact for finite data (x + 0 = x); with
     gamma = 0 (Camassa-Holm) the rfft takes two product rows, not three.
-    The result is written into the caller's ``out`` (length m) and every
-    elementwise step into the caller's ``work``, sized for len(u_hat) bins;
+    Returns a fresh array of length m; every elementwise step in sample
+    space writes into the caller's ``work``, sized for len(u_hat) bins, and
     ``work.values`` keeps the samples (u, u_x) of ``u_hat`` until the next
     call.
     """
@@ -128,12 +128,11 @@ def rate_hat(u_hat: np.ndarray, grid: Grid, g: GeneralCoefficients, m: int,
         np.multiply(g.gamma, slope2, out=cubic)
         cubic *= vx
     hats = np.fft.rfft(products if g.gamma else products[:2])[:, :m]
-    np.multiply(grid.mult_helmholtz_dx[:m], hats[1], out=out)
-    np.add(hats[0], out, out=out)
+    rate = hats[0] + grid.mult_helmholtz_dx[:m] * hats[1]
     if g.gamma:
-        np.multiply(grid.mult_helmholtz[:m], hats[2], out=hats[2])
-        out += hats[2]
-    return out
+        np.multiply(grid.mult_helmholtz[:m], hats[2], out=hats[2])  # in place: a step's peak memory
+        rate += hats[2]
+    return rate
 
 
 def rhs_nonlocal(u: Field, g: GeneralCoefficients, dealias_policy: str | None = None) -> Field:
@@ -141,8 +140,7 @@ def rhs_nonlocal(u: Field, g: GeneralCoefficients, dealias_policy: str | None = 
     between one rfft and one irfft, four transform calls per evaluation.
     The rate keeps only the retained band of the dealias policy."""
     grid, m = u.grid, u.grid.retained_bins(dealias_policy)
-    rate = rate_hat(np.fft.rfft(u.values), grid, g, m, np.empty(m, dtype=complex),
-                    RateWorkspace(grid.n, grid.n // 2 + 1))
+    rate = rate_hat(np.fft.rfft(u.values), grid, g, m, RateWorkspace(grid.n, grid.n // 2 + 1))
     return Field(grid, np.fft.irfft(rate, grid.n))
 
 

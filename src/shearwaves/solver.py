@@ -13,10 +13,9 @@ Norsett & Wanner, Solving ODEs I, II.4).
 
 The state is carried as the m bins of the half-spectrum that the dealias
 policy retains, so every state lies in the dealiased band by construction.
-A ``LawsonRK4`` plan holds what stays fixed over a run (m and the symbol) and
-a workspace that ``step_rk4`` writes every stage into, so a step allocates
-only the transforms' outputs.  The caller owns the state, which ``step_rk4``
-advances in place.  A primed plan describes the state w at t: ``plan.k1`` is
+A ``LawsonRK4`` plan holds what stays fixed over a run (m, the symbol and the
+rate's workspace); ``step_rk4`` is the four stage formulas and returns the
+next state.  A primed plan describes the state w at t: ``plan.k1`` is
 N(w, t), the next step's first stage ("first same as last", FSAL) and the
 estimate's fifth, and ``plan.work.values`` holds its samples (u, u_x).
 
@@ -139,12 +138,10 @@ class LawsonRK4:
     Holds the number m of retained bins of the dealias policy (the carried
     state is the rfft half-spectrum truncated to them), the linear symbol
     L = beta1 ik/(1+k^2) - alpha1 ik on those bins, the coefficients with
-    alpha1 = beta1 = 0 for the nonlinear rate, and the workspace every step
-    writes into: the ``rate_hat`` buffers, the stage rates k1..k4, the start
-    state ``w_start``, one stage input and the factors exp(L dt/2) and
-    exp(L dt) of the current step, all NaN until a rate primes k1.
-    ``forcing`` (t, x) -> array, if given, is added to the rate; its
-    spectrum at a step's end time is kept for the next step starting there.
+    alpha1 = beta1 = 0 for the nonlinear rate, the ``rate_hat`` workspace and
+    the last step's first and last stage rates k1 and k4, NaN until a rate
+    primes k1.  ``forcing`` (t, x) -> array, if given, is added to the rate;
+    its spectrum at a step's end time is kept for the next step starting there.
     """
 
     def __init__(self, grid: Grid, g: GeneralCoefficients, dealias_policy: str | None = None,
@@ -155,8 +152,7 @@ class LawsonRK4:
         self.g_nonlinear = replace(g, alpha1=0.0, beta1=0.0)
         self.forcing = forcing
         self.work = RateWorkspace(grid.n, m)
-        (self.k1, self.k2, self.k3, self.k4, self.w_start, self.stage,
-         self.e_half, self.e_full) = np.full((8, m), np.nan, dtype=complex)
+        self.k1 = self.k4 = np.full(m, np.nan, dtype=complex)
         self._forcing_at = (None, None)
 
     def forcing_hat(self, t: float):
@@ -167,19 +163,19 @@ class LawsonRK4:
             self._forcing_at = (t, f_hat)
         return f_hat
 
-    def rate(self, w: np.ndarray, out: np.ndarray, t: float) -> np.ndarray:
+    def rate(self, w: np.ndarray, t: float) -> np.ndarray:
         """Nonlinear rate of the retained spectrum w, plus the forcing at t."""
-        rate_hat(w, self.grid, self.g_nonlinear, self.m, out=out, work=self.work)
+        rate = rate_hat(w, self.grid, self.g_nonlinear, self.m, self.work)
         if self.forcing is not None:
-            out += self.forcing_hat(t)
-        return out
+            rate += self.forcing_hat(t)
+        return rate
 
     def error(self, w: np.ndarray, dt: float) -> float:
         """Embedded RK4(3) estimate of the last step's error relative to its
         result w, (|dt|/10) ||k4 - k1||_2 / ||w||_2 with k1 = N(w): the
         third-order weights of k4 and N(w) are 1/15 and 1/10, RK4's 1/6 and 0."""
-        np.subtract(self.k4, self.k1, out=self.stage)
-        gap = np.vdot(self.stage, self.stage).real
+        d = self.k4 - self.k1
+        gap = np.vdot(d, d).real
         if gap == 0.0:
             return 0.0
         size = np.vdot(w, w).real
@@ -193,48 +189,22 @@ def step_rk4(plan: LawsonRK4, w: np.ndarray, dt: float, t: float = 0.0) -> np.nd
     With E = exp(L dt/2) and N the nonlinear rate (forcing included, taken
     once at each of t, t + dt/2 and t + dt), the stages are classical RK4 on
     exp(-L t) w, so the linear drift is exact at any dt.  Precondition:
-    ``plan.k1`` holds N(w, t), as the last step or ``plan.rate(w, plan.k1,
-    t)`` leaves it.  The step copies w to ``plan.w_start``, leaves k4 intact
-    and writes N(w_new, t + dt) into k1, its samples into ``plan.work``: 8
-    transform calls per unforced step.  E is computed afresh each step and
-    every operation writes into the plan's workspace; w is advanced in place
-    and returned.
+    ``plan.k1`` holds N(w, t), as the last step or ``plan.k1 = plan.rate(w,
+    t)`` leaves it.  Returns the new state w_new and leaves w untouched; the
+    step sets ``plan.k4`` to its k4 and ``plan.k1`` to N(w_new, t + dt), whose
+    samples stay in ``plan.work``: 8 transform calls per unforced step.
     """
-    e_half, e_full = plan.e_half, plan.e_full
-    k1, k2, k3, k4, s = plan.k1, plan.k2, plan.k3, plan.k4, plan.stage
     half = 0.5 * dt
-    np.multiply(half, plan.linear, out=e_half)
-    np.exp(e_half, out=e_half)
-    np.multiply(e_half, e_half, out=e_full)
-    np.copyto(plan.w_start, w)
-    # k2 = N(E (w + dt/2 k1))
-    np.multiply(half, k1, out=s)
-    s += w
-    np.multiply(e_half, s, out=s)
-    plan.rate(s, k2, t + half)
-    # k3 = N(E w + dt/2 k2); k4 holds E w until k4 itself is taken
-    np.multiply(e_half, w, out=k4)
-    np.multiply(half, k2, out=s)
-    np.add(k4, s, out=s)
-    plan.rate(s, k3, t + half)
-    # k4 = N(E^2 w + dt E k3)
-    np.multiply(e_half, k3, out=s)
-    np.multiply(dt, s, out=s)
-    np.multiply(e_full, w, out=k4)
-    np.add(k4, s, out=s)
-    plan.rate(s, k4, t + dt)
-    # w <- E^2 (w + dt/6 k1) + dt/3 E (k2 + k3) + dt/6 k4
-    np.multiply(dt / 6.0, k1, out=s)
-    np.add(w, s, out=w)
-    np.multiply(e_full, w, out=w)
-    k2 += k3
-    np.multiply(e_half, k2, out=k2)
-    np.multiply(dt / 3.0, k2, out=k2)
-    w += k2
-    np.multiply(dt / 6.0, k4, out=s)
-    w += s
-    plan.rate(w, k1, t + dt)
-    return w
+    e_half = np.exp(half * plan.linear)
+    e_full = e_half * e_half
+    k1 = plan.k1
+    k2 = plan.rate(e_half * (w + half * k1), t + half)
+    k3 = plan.rate(e_half * w + half * k2, t + half)
+    k4 = plan.rate(e_full * w + dt * (e_half * k3), t + dt)
+    w_new = e_full * (w + dt / 6.0 * k1) + dt / 3.0 * (e_half * (k2 + k3)) + dt / 6.0 * k4
+    plan.k4 = k4
+    plan.k1 = plan.rate(w_new, t + dt)
+    return w_new
 
 
 def advection_speed_bound(v: np.ndarray, g: GeneralCoefficients) -> float:
@@ -280,7 +250,7 @@ def integrate(cfg: SimConfig, u0: Field) -> Trajectory:
     ``termination = "nonfinite"`` is its one report.
 
     One ``LawsonRK4`` plan serves the whole run.  The state is carried as its
-    retained half-spectrum in one array that every step advances in place:
+    retained half-spectrum, and every step returns the next one:
     one rfft of u0 and one rate evaluation, then 8 transform calls per
     attempted step, whose last rate evaluation also gives the samples (u, u_x)
     that the CFL bound, the finiteness check and the series row read;
@@ -289,7 +259,8 @@ def integrate(cfg: SimConfig, u0: Field) -> Trajectory:
     A CFL step is the smaller of the stability cap at the state it starts
     from and the last step size times ``_step_factor`` of its error estimate
     (at first the cap, or cfl dx at zero speed).  A step past
-    ``STEP_TOLERANCE`` is retried smaller from ``plan.w_start``, k1 re-primed.
+    ``STEP_TOLERANCE`` is retried smaller from the state it started from, k1
+    re-primed.
     A step below ``STEP_MIN_FRACTION`` t_end, the clip to t_end aside, ends
     the run with ``termination = "step_size_underflow"`` (Hairer, Norsett &
     Wanner's "step size too small" exit): a solution that leaves the grid's
@@ -299,7 +270,7 @@ def integrate(cfg: SimConfig, u0: Field) -> Trajectory:
     g, grid = cfg.coefficients, cfg.grid
     plan = LawsonRK4(grid, g, cfg.dealias_policy, cfg.forcing)
     w = np.fft.rfft(u0.values)[:plan.m]
-    plan.rate(w, plan.k1, 0.0)
+    plan.k1 = plan.rate(w, 0.0)
     values, slopes = plan.work.values
     t = 0.0
     traj = Trajectory()
@@ -339,7 +310,7 @@ def integrate(cfg: SimConfig, u0: Field) -> Trajectory:
             traj.termination = "step_size_underflow"
             break
         dt = min(dt, cfg.t_end - t)
-        step_rk4(plan, w, dt, t)
+        w_start, w = w, step_rk4(plan, w, dt, t)
         if not np.all(np.isfinite(values)):
             traj.termination = "nonfinite"
             break
@@ -347,8 +318,8 @@ def integrate(cfg: SimConfig, u0: Field) -> Trajectory:
             err = plan.error(w, dt)
             proposal = dt * _step_factor(err)
             if not err <= STEP_TOLERANCE:
-                np.copyto(w, plan.w_start)
-                plan.rate(w, plan.k1, t)
+                w = w_start
+                plan.k1 = plan.rate(w, t)
                 traj.rejected_steps += 1
                 continue
             cap = stability_cap()

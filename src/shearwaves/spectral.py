@@ -10,7 +10,7 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["DEALIAS_FRACTIONS", "Grid", "Field", "derivative", "helmholtz_inverse",
+__all__ = ["DEALIAS_FRACTIONS", "GRID_MAX_N", "Grid", "Field", "derivative", "helmholtz_inverse",
            "helmholtz_inverse_dx", "dealias", "sup_norm", "sobolev_norm",
            "random_mode_coefficients", "trig_field", "csv_text", "field_to_csv"]
 
@@ -21,14 +21,15 @@ DEALIAS_FRACTIONS = {
     "two_thirds": 2.0 / 3.0,
     "strong": 2.0 / 7.0,
 }
+GRID_MAX_N = 2**20  # largest grid size; a larger one fails here, not in an allocation
 
 
 class Grid:
     """Uniform sampling of the periodic interval [0, L)."""
 
     def __init__(self, n: int, length: float):
-        if n % 2 != 0 or n < 16:
-            raise ValueError(f"grid size must be even and >= 16, got {n}")
+        if n % 2 != 0 or not 16 <= n <= GRID_MAX_N:
+            raise ValueError(f"grid size must be even and in [16, {GRID_MAX_N}], got {n}")
         if not (length > 0 and np.isfinite(length)):
             raise ValueError(f"grid length must be positive and finite, got {length}")
         self.n = int(n)

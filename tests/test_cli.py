@@ -395,6 +395,9 @@ def test_simulate_unwritable_output_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("mutate, message_part", [
     (lambda c: c.pop("length"), "length"),
     (lambda c: c.update(n=15), "grid size"),
+    # a huge grid is refused before any array is allocated
+    pytest.param(lambda c: c.update(n=1099511627776),
+                 "grid size must be even and in [16, 1048576], got 1099511627776", id="n-huge"),
     (lambda c: c.update(initial="vortex"), "initial condition"),
     (lambda c: c.update(dealias="hard"), "'dealias'"),
     (lambda c: c.update(schema_version=99), "schema_version"),
