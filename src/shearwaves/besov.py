@@ -131,6 +131,14 @@ THETA = 0.5
 SUITE_BATCH = 16
 
 
+def _exact_entry(check: str, params: dict, value: float, bound: float, tol: float) -> dict:
+    """Entry of the exact inequality value <= bound: its excess passes up to
+    tol relative to the bound, and a NaN excess fails."""
+    excess = max(value - bound, 0.0)  # keeps a NaN: 0.0 > NaN is false
+    return {"check": check, "params": params, "defect_or_ratio": excess,
+            "pass": bool(excess <= tol * max(bound, 1e-300))}
+
+
 def inequality_suite(fields, exact_tol: float = 1e-12) -> list:
     """Exact-inequality checks over a sample of fields on one grid.
 
@@ -163,25 +171,14 @@ def inequality_suite(fields, exact_tol: float = 1e-12) -> list:
     results, ratios = [], []
     for idx in range(len(fields)):
         for r1, r2 in ((1.0, 2.0), (2.0, math.inf), (1.0, math.inf)):
-            n1, n2 = besov[S1, r1][idx], besov[S1, r2][idx]
-            defect = max(n2 - n1, 0.0)  # keeps a NaN: 0.0 > NaN is false
-            results.append({
-                "check": "r_monotonicity",
-                "params": {"field": idx, "s": S1, "p": P, "r1": r1, "r2": r2},
-                "defect_or_ratio": defect,
-                "pass": bool(defect <= exact_tol * max(n1, 1e-300)),
-            })
-
+            results.append(_exact_entry(
+                "r_monotonicity", {"field": idx, "s": S1, "p": P, "r1": r1, "r2": r2},
+                besov[S1, r2][idx], besov[S1, r1][idx], exact_tol))
         for r in (1.0, 2.0, math.inf):
             bound = besov[S1, r][idx] ** THETA * besov[S2, r][idx] ** (1.0 - THETA)
-            defect = max(besov[s_mid, r][idx] - bound, 0.0)
-            results.append({
-                "check": "interpolation",
-                "params": {"field": idx, "s1": S1, "s2": S2, "theta": THETA,
-                           "p": P, "r": r},
-                "defect_or_ratio": defect,
-                "pass": bool(defect <= exact_tol * max(bound, 1e-300)),
-            })
+            results.append(_exact_entry(
+                "interpolation", {"field": idx, "s1": S1, "s2": S2, "theta": THETA, "p": P, "r": r},
+                besov[s_mid, r][idx], bound, exact_tol))
 
         low_1, low_inf = besov[1.0 / P, 1.0][idx], besov[1.0 / P, math.inf][idx]
         high_inf = besov[1.0 + 1.0 / P, math.inf][idx]

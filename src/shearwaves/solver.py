@@ -21,15 +21,16 @@ estimate's fifth, and ``plan.work.values`` holds its samples (u, u_x).
 
 Diagnostics track the wave-breaking criterion: the time integral of the
 squared sup-norm of the slope, a trapezoid sum over the accepted steps, stays
-finite exactly while the solution persists.  Each accepted state gets one
-row of ``Trajectory.series`` (t, sup_u, min_ux, max_ux, breaking_integral),
-which the stop, the records and ``breaking_monitor`` read.  The monitor looks
+finite exactly while the solution persists.  ``accept()`` in ``integrate``
+gives each accepted state a row of ``Trajectory.series`` (t, sup_u, min_ux,
+max_ux, breaking_integral) for the stop, records and monitor.  The monitor looks
 for the finite-time signature (slope blow-up at bounded amplitude); a
 simulation can only ever exhibit the signature, not prove blow-up.
 """
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field as dataclass_field, fields, replace
 
 import numpy as np
@@ -54,12 +55,13 @@ __all__ = [
 class SimConfig:
     """Run description: grid, coefficients, stepping and output cadence.
 
-    Exactly one of ``dt`` (fixed step) or ``cfl`` (Courant number in (0, 1];
-    each step is the smaller of the stability cap and the error-controlled
-    proposal, see ``integrate``) must be set.  ``forcing`` is an
-    optional callable (t, x_array) -> array added to the right-hand side,
-    used by the manufactured-solution harness.  ``breaking_stop`` ends the
-    run at the first step with min u_x <= it (< 0; min u_x <= 0 always).
+    Exactly one of ``dt`` (fixed step, at least ``STEP_MIN_FRACTION`` t_end)
+    or ``cfl`` (Courant number in (0, 1]; each step is the smaller of the
+    stability cap and the error-controlled proposal, see ``integrate``) must
+    be set.  ``forcing`` is an optional callable (t, x_array) -> array added
+    to the right-hand side, used by the manufactured-solution harness.
+    ``breaking_stop`` ends the run at the first step with min u_x <= it (< 0;
+    min u_x <= 0 always).
     """
 
     grid: Grid
@@ -82,6 +84,9 @@ class SimConfig:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
         if not 0 < self.t_end < math.inf:
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
+        if self.dt is not None and self.dt < STEP_MIN_FRACTION * self.t_end:
+            raise ValueError(f"dt must be >= STEP_MIN_FRACTION * t_end = "
+                             f"{STEP_MIN_FRACTION * self.t_end:g}, got {self.dt}")
         if isinstance(self.snapshot_stride, bool) or not isinstance(self.snapshot_stride, int):
             raise ValueError(f"snapshot_stride must be an int, got {self.snapshot_stride!r}")
         if self.snapshot_stride < 1:
@@ -213,11 +218,11 @@ def advection_speed_bound(v: np.ndarray, g: GeneralCoefficients) -> float:
     return float(np.max(np.abs(g.alpha2 * v + g.alpha3 * v * v)))
 
 
-def _diagnose(plan: LawsonRK4, w: np.ndarray, row: np.ndarray, s: float) -> DiagnosticsRecord:
+def _diagnose(plan: LawsonRK4, w: np.ndarray, row: tuple, s: float) -> DiagnosticsRecord:
     """Record of w from its series row and the samples (u, u_x) in ``plan.work``."""
     grid = plan.grid
     u, ux = plan.work.values
-    t, sup_u, min_ux, max_ux, integral = row.tolist()
+    t, sup_u, min_ux, max_ux, integral = row
     return DiagnosticsRecord(t, sup_u, min_ux, max_ux, h1=sobolev_norm(grid, w, 1.0),
                              hs=sobolev_norm(grid, w, s), breaking_integral=integral,
                              ch_energy=float(grid.dx * np.sum(u**2 + ux**2)))
@@ -225,7 +230,7 @@ def _diagnose(plan: LawsonRK4, w: np.ndarray, row: np.ndarray, s: float) -> Diag
 
 # error control of CFL steps (see ``integrate``)
 STEP_TOLERANCE = 1e-8
-STEP_MIN_FRACTION = 1e-6  # a CFL step below this share of t_end ends the run
+STEP_MIN_FRACTION = 1e-6  # floor of a step as a share of t_end: fixed dt below it is refused
 STEP_SAFETY = 0.9
 STEP_FACTOR_MIN = 0.2
 STEP_FACTOR_MAX = 2.0
@@ -243,18 +248,20 @@ def _step_factor(err: float) -> float:
 @np.errstate(over="ignore", invalid="ignore")
 def integrate(cfg: SimConfig, u0: Field) -> Trajectory:
     """Advance u0 to t_end, or stop early on a breaking threshold, loss of
-    finiteness or a CFL step too small to reach t_end.  Every accepted state
-    gets its series row, its trapezoid term of the breaking integral included,
-    and a stop test; records and snapshots at t = 0, every ``snapshot_stride``
-    steps, at t_end and at the stop.  An overflow raises no floating-point warning:
-    ``termination = "nonfinite"`` is its one report.
+    finiteness or a step too small to reach t_end.  An overflow raises no
+    floating-point warning: ``termination = "nonfinite"`` is its one report.
 
-    One ``LawsonRK4`` plan serves the whole run.  The state is carried as its
-    retained half-spectrum, and every step returns the next one:
-    one rfft of u0 and one rate evaluation, then 8 transform calls per
-    attempted step, whose last rate evaluation also gives the samples (u, u_x)
-    that the CFL bound, the finiteness check and the series row read;
-    records take no transform, and every snapshot is irfft(w).
+    One ``LawsonRK4`` plan serves the whole run, carrying the retained
+    half-spectrum: one rfft of u0 and one rate evaluation, then 8 transform
+    calls per attempted step, whose last rate evaluation also gives the
+    samples (u, u_x) that the CFL bound, the finiteness check and the series
+    row read; records take no transform, and every snapshot is irfft(w).
+
+    ``accept()`` is all that happens to an accepted state, the one at t = 0
+    included: it appends the series row with its trapezoid term of the
+    breaking integral, tests the breaking stop (the run ignores it at t = 0),
+    records at t = 0, every ``snapshot_stride`` steps, at t_end and at the
+    stop, and sets a CFL run's stability cap for the next step.
 
     A CFL step is the smaller of the stability cap at the state it starts
     from and the last step size times ``_step_factor`` of its error estimate
@@ -272,41 +279,36 @@ def integrate(cfg: SimConfig, u0: Field) -> Trajectory:
     w = np.fft.rfft(u0.values)[:plan.m]
     plan.k1 = plan.rate(w, 0.0)
     values, slopes = plan.work.values
-    t = 0.0
+    t, tiny, cap = 0.0, 1e-12 * cfg.t_end, math.inf
     traj = Trajectory()
-    series = np.empty((256, 5))
+    series = array("d")  # flat rows (t, sup_u, min_ux, max_ux, breaking_integral)
 
-    def measure():  # the series row of the state at t; returns min u_x
-        nonlocal series
-        if traj.steps == len(series):
-            series = np.concatenate((series, np.empty_like(series)))
+    def accept():  # the accepted state w at t; returns whether it passed the stop
+        nonlocal cap
         min_ux, max_ux = float(slopes.min()), float(slopes.max())
         integral = 0.0
-        if traj.steps:
-            t_prev, _, min_prev, max_prev, integral = series[traj.steps - 1].tolist()
+        if series:
+            t_prev, _, min_prev, max_prev, integral = series[-5:]
             slope_prev, slope = max(abs(min_prev), abs(max_prev)), max(abs(min_ux), abs(max_ux))
             # float ** raises OverflowError past about 1.3e154; * gives inf
             integral += 0.5 * (t - t_prev) * (slope_prev * slope_prev + slope * slope)
-        series[traj.steps] = (t, float(np.abs(values).max()), min_ux, max_ux, integral)
-        return min_ux
+        row = (t, float(np.abs(values).max()), min_ux, max_ux, integral)
+        series.extend(row)
+        stop = cfg.breaking_stop is not None and min_ux <= cfg.breaking_stop
+        if stop or traj.steps % cfg.snapshot_stride == 0 or t >= cfg.t_end - tiny:
+            traj.records.append(_diagnose(plan, w, row, cfg.sobolev_s))
+            traj.snapshots.append(Field(grid, values.copy()))
+        if cfg.cfl is not None:
+            speed = advection_speed_bound(values, g)
+            cap = cfg.cfl * grid.dx / speed if speed > 0 else math.inf
+        return stop
 
-    def record():
-        traj.records.append(_diagnose(plan, w, series[traj.steps], cfg.sobolev_s))
-        traj.snapshots.append(Field(grid, values.copy()))
-
-    def stability_cap():
-        speed = advection_speed_bound(values, g)
-        return cfg.cfl * grid.dx / speed if speed > 0 else math.inf
-
-    measure()
-    record()
-    tiny = 1e-12 * cfg.t_end
+    accept()  # the run ignores the stop at t = 0
     if cfg.cfl is not None:
-        cap = stability_cap()
         proposal = cap if cap < math.inf else cfg.cfl * grid.dx
     while t < cfg.t_end - tiny:
         dt = cfg.dt if cfg.dt is not None else min(proposal, cap)
-        if cfg.cfl is not None and dt < STEP_MIN_FRACTION * cfg.t_end:  # before the clip to t_end
+        if dt < STEP_MIN_FRACTION * cfg.t_end:  # before the clip to t_end
             traj.termination = "step_size_underflow"
             break
         dt = min(dt, cfg.t_end - t)
@@ -322,18 +324,13 @@ def integrate(cfg: SimConfig, u0: Field) -> Trajectory:
                 plan.k1 = plan.rate(w, t)
                 traj.rejected_steps += 1
                 continue
-            cap = stability_cap()
         t += dt
         traj.steps += 1
-        min_ux = measure()
-        stop = cfg.breaking_stop is not None and min_ux <= cfg.breaking_stop
-        if stop or traj.steps % cfg.snapshot_stride == 0 or t >= cfg.t_end - tiny:
-            record()
-        if stop:
+        if accept():
             traj.termination = "breaking_detected"
             break
     traj.t_final = t
-    traj.series = series[:traj.steps + 1]
+    traj.series = np.frombuffer(series).reshape(-1, 5)
     return traj
 
 

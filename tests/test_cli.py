@@ -419,6 +419,9 @@ def test_simulate_unwritable_output_exits_2(tmp_path, capsys):
      "'max_mode' must lie in [1, n/2) = [1, 64), got 0"),
     (lambda c: c.update(width=0), "'width' must be > 0, got 0.0"),
     (lambda c: c.update(initial="gaussian", width=-1.5), "'width' must be > 0, got -1.5"),
+    # a fixed step below STEP_MIN_FRACTION * t_end would ask for 1e12 steps
+    pytest.param(lambda c: c.update(dt=1e-12, t_end=1.0),
+                 "dt must be >= STEP_MIN_FRACTION * t_end = 1e-06, got 1e-12", id="dt-below-floor"),
     # min u_x <= 0 always, so a stop >= 0 would end the run at its first record
     pytest.param(lambda c: c.update(breaking_stop=0.0), "breaking_stop must be negative, got 0.0",
                  id="breaking_stop-zero"),

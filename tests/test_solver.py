@@ -514,7 +514,7 @@ def test_cfl_step_below_the_floor_ends_the_run(monkeypatch):
     assert traj.records[-1].t < 1.0
 
 
-def test_step_floor_spares_the_clipped_last_step_and_fixed_dt(monkeypatch):
+def test_step_floor_spares_the_clipped_last_step_and_refuses_a_smaller_fixed_dt(monkeypatch):
     attempts, traj = _small_cfl_attempts(monkeypatch, 1.0)
     smallest = min(attempts[:-1])
     # end just past a middle record: the last step, clipped to 1e-3 of the
@@ -525,26 +525,30 @@ def test_step_floor_spares_the_clipped_last_step_and_fixed_dt(monkeypatch):
     assert traj.termination == "completed"
     assert attempts[-1] < 0.5 * smallest
     assert traj.records[-1].t == pytest.approx(t_end, abs=1e-15)
-    # a fixed step is the caller's choice, whatever its size
-    monkeypatch.setattr(solver, "STEP_MIN_FRACTION", 1.0)
+    # a fixed step below the same floor is a config error, one at it runs
+    monkeypatch.setattr(solver, "STEP_MIN_FRACTION", 0.5)
     grid = Grid(64, 40.0)
+    with pytest.raises(ValueError, match=r"dt must be >= STEP_MIN_FRACTION \* t_end = 0.05, got"):
+        SimConfig(grid=grid, coefficients=CH, t_end=0.1, dt=0.04)
     cfg = SimConfig(grid=grid, coefficients=CH, t_end=0.1, dt=0.05)
-    assert integrate(cfg, Field(grid, np.sin(2 * np.pi * grid.x / 40.0))).termination == "completed"
+    traj = integrate(cfg, Field(grid, np.sin(2 * np.pi * grid.x / 40.0)))
+    assert traj.termination == "completed" and traj.steps == 2
 
 
 def test_t_final_is_the_time_of_the_last_accepted_state(monkeypatch):
     # a completed run ends at t_end; a step-floor stop and a nonfinite stop end
     # at their last accepted state, which a stride of 7 leaves unrecorded
-    attempts, done = _small_cfl_attempts(monkeypatch, 1.0)
-    assert done.termination == "completed"
-    assert done.t_final == pytest.approx(1.0, abs=1e-12)
-    monkeypatch.setattr(solver, "STEP_MIN_FRACTION", 1.000001 * min(attempts[:-1]))
-    floored = [_small_cfl_attempts(monkeypatch, 1.0, stride)[1] for stride in (1, 7)]
     grid = Grid(64, 40.0)
     u0 = Field(grid, 5.0 * np.sin(2 * np.pi * 5 * grid.x / 40.0))
     cfg = SimConfig(grid=grid, coefficients=normalize(model_coefficients(1.5)), t_end=50.0, dt=0.5)
     overflowed = [integrate(dataclasses.replace(cfg, snapshot_stride=stride), u0)
                   for stride in (1, 7)]
+    # the raised floor below would refuse dt = 0.5 at t_end = 50
+    attempts, done = _small_cfl_attempts(monkeypatch, 1.0)
+    assert done.termination == "completed"
+    assert done.t_final == pytest.approx(1.0, abs=1e-12)
+    monkeypatch.setattr(solver, "STEP_MIN_FRACTION", 1.000001 * min(attempts[:-1]))
+    floored = [_small_cfl_attempts(monkeypatch, 1.0, stride)[1] for stride in (1, 7)]
     for (dense, sparse), why, t_end in ((floored, "step_size_underflow", 1.0),
                                         (overflowed, "nonfinite", 50.0)):
         assert dense.termination == sparse.termination == why
@@ -749,17 +753,18 @@ def test_records_copy_their_series_row():
 
 
 def test_series_has_a_row_per_accepted_state_on_every_stop(monkeypatch):
-    # 1,000 steps outgrow the series' first 256 rows; the step floor and an
+    # a 1,000-step run, and a step floor and an
     # overflow end the run between strides
     completed = [_quiet_linear_run(stride) for stride in (1, 7)]
-    attempts, _ = _small_cfl_attempts(monkeypatch, 1.0)
-    monkeypatch.setattr(solver, "STEP_MIN_FRACTION", 1.000001 * min(attempts[:-1]))
-    floored = [_small_cfl_attempts(monkeypatch, 1.0, stride)[1] for stride in (1, 7)]
     grid = Grid(64, 40.0)
     u0 = Field(grid, 5.0 * np.sin(2 * np.pi * 5 * grid.x / 40.0))
     cfg = SimConfig(grid=grid, coefficients=normalize(model_coefficients(1.5)), t_end=50.0, dt=0.5)
     overflowed = [integrate(dataclasses.replace(cfg, snapshot_stride=stride), u0)
                   for stride in (1, 7)]
+    # the raised floor below would refuse dt = 0.5 at t_end = 50
+    attempts, _ = _small_cfl_attempts(monkeypatch, 1.0)
+    monkeypatch.setattr(solver, "STEP_MIN_FRACTION", 1.000001 * min(attempts[:-1]))
+    floored = [_small_cfl_attempts(monkeypatch, 1.0, stride)[1] for stride in (1, 7)]
     assert completed[0].steps == 1000
     for (dense, sparse), why in ((completed, "completed"), (floored, "step_size_underflow"),
                                  (overflowed, "nonfinite")):
@@ -768,6 +773,39 @@ def test_series_has_a_row_per_accepted_state_on_every_stop(monkeypatch):
         assert np.array_equal(sparse.series, dense.series)
         assert dense.series[-1, 0] == dense.t_final
         assert np.all(np.diff(dense.series[:, 0]) > 0)
+
+
+def test_series_memory_per_accepted_step_is_bounded():
+    # the series is 40 B of floats per accepted state plus its array's slack:
+    # about 47 B a step here; a buffer that doubles by copying peaks near
+    # 160 B, and a list of row tuples near 280 B
+    grid = Grid(16, 40.0)
+    u0 = Field(grid, 0.1 * np.sin(2 * np.pi * grid.x / 40.0))
+    steps, dt = 2048, 2.0**-10  # exact in binary, so t reaches t_end on the last step
+    cfg = SimConfig(grid=grid, coefficients=CH, t_end=steps * dt, dt=dt, snapshot_stride=10**9)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        traj = integrate(cfg, u0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.steps == steps and len(traj.records) == 2
+    assert peak - base <= 100 * steps
+
+
+@pytest.mark.parametrize("step, t_final", [({"dt": 0.01}, 0.01), ({"cfl": 0.5}, 0.0332)])
+def test_breaking_stop_takes_effect_after_the_first_step(step, t_final):
+    # the initial state already lies past the stop, which the run heeds from
+    # its first accepted step on: one step, then the stop, two records
+    grid = Grid(64, 40.0)
+    u0 = Field(grid, -1.5 * np.sin(2 * np.pi * grid.x / 40.0))
+    cfg = SimConfig(grid=grid, coefficients=CH, t_end=1.0, breaking_stop=-0.1, **step)
+    traj = integrate(cfg, u0)
+    assert traj.records[0].min_ux <= cfg.breaking_stop
+    assert traj.termination == "breaking_detected"
+    assert traj.steps == 1 and len(traj.records) == len(traj.series) == 2
+    assert traj.t_final == pytest.approx(t_final, abs=1e-4)
 
 
 def test_breaking_monitor_reads_series_and_records_alike():
