@@ -44,11 +44,6 @@ SCHEMA_VERSION = 1
 # snapshot texts formatted ahead of the file writer; bounds the text held at once
 WRITE_AHEAD = 4
 OUTPUT_ROOT_ENV = "SHEARWAVES_OUTPUT_ROOT"
-# every top-level run-configuration field the reader knows; any other is an error
-CONFIG_FIELDS = frozenset((
-    "schema_version", "n", "length", "t_end", "dt", "cfl", "dealias", "snapshot_stride",
-    "breaking_stop", "sobolev_s", "vorticity", "coefficients", "initial", "amplitude",
-    "mode", "width", "center", "seed", "max_mode"))
 COEFFICIENT_NAMES = [f.name for f in fields(GeneralCoefficients)]
 
 DISPERSION_NOTE = ("linear phase: omega(k) = k*(c + (beta0/beta)*k^2)/(1 + k^2) "
@@ -229,93 +224,106 @@ def cmd_verify(args) -> int:
 # simulate command
 # ---------------------------------------------------------------------------
 
-def _require(cfg: dict, key: str, types):
-    if key not in cfg:
-        raise ConfigError(f"config: missing field {key!r}")
-    value = cfg[key]
-    if not isinstance(value, types):
-        raise ConfigError(f"config: field {key!r} has type {type(value).__name__}")
-    return value
+_REQUIRED, _UNSET = object(), object()
+
+# Every top-level run-configuration field, once: (JSON type, default[, range test on
+# (value, h = n/2), range text, {0} = h]).  A range holds whenever its field is present.
+# _UNSET leaves the default to the reader (center: length/2) or to SimConfig, which gets
+# the STEPPING_FIELDS present and checks their ranges, as Grid checks n and length.
+CONFIG_SCHEMA = {
+    "schema_version": (int, _REQUIRED),
+    "n": (int, _REQUIRED),
+    "length": (float, _REQUIRED),
+    "t_end": (float, _REQUIRED),
+    "dt": (float, _UNSET),
+    "cfl": (float, _UNSET),
+    "dealias": (object, _UNSET),  # Grid.retained_bins checks it; null keeps every bin
+    "snapshot_stride": (int, _UNSET),
+    "breaking_stop": (float, _UNSET),
+    "sobolev_s": (float, _UNSET),
+    "vorticity": (float, _UNSET),
+    "coefficients": (dict, _UNSET),
+    "initial": (str, _REQUIRED),
+    "amplitude": (float, 0.1),
+    "mode": (int, 1, lambda v, h: abs(v) < h, "lie in (-n/2, n/2) = (-{0}, {0})"),
+    "width": (float, 1.0, lambda v, h: v > 0, "be > 0"),
+    "center": (float, _UNSET),
+    "seed": (int, 0, lambda v, h: v >= 0, "be >= 0"),
+    "max_mode": (int, 8, lambda v, h: 1 <= v < h, "lie in [1, n/2) = [1, {0})"),
+}
+STEPPING_FIELDS = ("t_end", "dt", "cfl", "snapshot_stride", "breaking_stop", "sobolev_s")
 
 
-_REQUIRED = object()
-
-
-def _number(cfg: dict, key: str, default=_REQUIRED, integer: bool = False,
-            context: str = "config"):
-    """Numeric field: a JSON integer if ``integer``, else a finite JSON number
-    (returned as float).  Booleans and strings are rejected; an absent or
-    null field gives ``default``, or an error when there is none."""
+def _read(cfg: dict, key: str, n: int = 0, row: tuple | None = None, context: str = "config"):
+    """Field ``key`` of ``cfg`` checked against ``row`` (default: its CONFIG_SCHEMA row):
+    int takes a JSON integer, float a finite JSON number (returned as float), neither a
+    boolean.  An absent field, or a null one in a typed row, takes the row's default."""
+    json_type, default, *bound = row or CONFIG_SCHEMA[key]
+    if json_type is object:
+        return cfg.get(key, default)
     value = cfg.get(key)
     if value is None:
         if default is _REQUIRED:
             raise ConfigError(f"{context}: missing field {key!r}")
         return default
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        kind = "an integer" if integer else "a finite number"
+    if json_type in (str, dict) and not isinstance(value, json_type):
+        raise ConfigError(f"{context}: field {key!r} has type {type(value).__name__}")
+    if isinstance(value, bool) or not isinstance(value, (int, json_type)):
+        kind = "an integer" if json_type is int else "a finite number"
         raise ConfigError(f"{context}: field {key!r} must be {kind}, got {value!r}")
-    if integer:
-        return value
-    try:
-        value = float(value)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise ConfigError(f"{context}: field {key!r} must be a finite number, got {value!r}")
+    if json_type is float:
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(f"{context}: field {key!r} must be a finite number, got {value!r}")
+    if bound and not bound[0](value, n // 2):
+        raise ConfigError(f"{context}: field {key!r} must {bound[1].format(n // 2)}, got {value!r}")
     return value
 
 
 def initial_condition(cfg: dict, grid: Grid) -> Field:
-    kind = _require(cfg, "initial", str)
-    x = grid.x
-    length = grid.length
-    amp = _number(cfg, "amplitude", 0.1)
-    if kind == "zero":
-        return Field(grid, np.zeros(grid.n))
-    if kind in ("sine", "cosine"):
-        wave = np.sin if kind == "sine" else np.cos
-        mode = _number(cfg, "mode", 1, integer=True)
-        if not abs(mode) < grid.n // 2:
-            raise ConfigError(f"config: field 'mode' must lie in (-n/2, n/2) = "
-                              f"({-(grid.n // 2)}, {grid.n // 2}), got {mode}")
-        return Field(grid, amp * wave(2 * np.pi * mode * x / length))
-    if kind in ("sech2", "gaussian"):
-        width = _number(cfg, "width", 1.0)
-        if not width > 0:
-            raise ConfigError(f"config: field 'width' must be > 0, got {width!r}")
-        center = _number(cfg, "center", length / 2)
-        if kind == "sech2":
-            return Field(grid, amp / np.cosh((x - center) / width) ** 2)
-        return Field(grid, amp * np.exp(-((x - center) ** 2) / (2 * width**2)))
-    if kind == "random_bandlimited":
-        seed = _number(cfg, "seed", 0, integer=True)
-        if seed < 0:
-            raise ConfigError(f"config: field 'seed' must be >= 0, got {seed}")
-        max_mode = _number(cfg, "max_mode", 8, integer=True)
-        if not 1 <= max_mode < grid.n // 2:
-            raise ConfigError(f"config: field 'max_mode' must lie in [1, n/2) = "
-                              f"[1, {grid.n // 2}), got {max_mode}")
-        a, b = random_mode_coefficients(np.random.default_rng(seed), max_mode=max_mode)
-        return trig_field(grid, a, b, amplitude=amp)
-    raise ConfigError(f"config: unknown initial condition kind {kind!r}")
+    """The initial state of ``cfg`` on ``grid``; ConfigError if out of range or not finite."""
+    kind = _read(cfg, "initial")
+    amp = _read(cfg, "amplitude")
+    with np.errstate(all="ignore"):  # a sample that overflows is refused below, not printed
+        if kind == "zero":
+            u0 = np.zeros(grid.n)
+        elif kind in ("sine", "cosine"):
+            wave = np.sin if kind == "sine" else np.cos
+            u0 = amp * wave(2 * np.pi * _read(cfg, "mode", grid.n) * grid.x / grid.length)
+        elif kind in ("sech2", "gaussian"):
+            width = _read(cfg, "width", grid.n)
+            center = grid.length / 2 if (center := _read(cfg, "center")) is _UNSET else center
+            if kind == "sech2":  # amp / inf = 0 where cosh overflows
+                u0 = amp / np.cosh((grid.x - center) / width) ** 2
+            else:
+                u0 = amp * np.exp(-((grid.x - center) ** 2) / (2 * width**2))
+        elif kind == "random_bandlimited":
+            rng = np.random.default_rng(_read(cfg, "seed", grid.n))
+            a, b = random_mode_coefficients(rng, max_mode=_read(cfg, "max_mode", grid.n))
+            u0 = trig_field(grid, a, b, amplitude=amp).values
+        else:
+            raise ConfigError(f"config: unknown initial condition kind {kind!r}")
+    if not np.isfinite(u0).all():
+        raise ConfigError(f"config: initial state {kind!r} has a non-finite sample")
+    return Field(grid, u0)
 
 
 def coefficients_from_config(cfg: dict):
-    has_a = "vorticity" in cfg
-    has_g = "coefficients" in cfg
-    if has_a == has_g:
+    a, raw = _read(cfg, "vorticity"), _read(cfg, "coefficients")
+    if (a is _UNSET) == (raw is _UNSET):
         raise ConfigError("config: exactly one of 'vorticity' / 'coefficients' required")
-    if has_a:
-        a = _number(cfg, "vorticity")
+    if raw is _UNSET:
         return vorticity_coefficients(a, "config: field 'vorticity'"), {"vorticity": a}
-    raw = _require(cfg, "coefficients", dict)
     unknown = sorted(set(raw) - set(COEFFICIENT_NAMES))
     if unknown:
         raise ConfigError(f"config: unknown coefficient fields {unknown}")
     missing = sorted(set(COEFFICIENT_NAMES) - set(raw))
     if missing:
         raise ConfigError(f"config: coefficients object missing {missing}")
-    g = GeneralCoefficients(**{k: _number(raw, k, context="config: coefficients")
+    g = GeneralCoefficients(**{k: _read(raw, k, 0, (float, _REQUIRED), "config: coefficients")
                                for k in COEFFICIENT_NAMES})
     return g, {"explicit_coefficients": True}
 
@@ -331,43 +339,30 @@ def load_config(path) -> dict:
         raise ConfigError(f"config {path} line {exc.lineno}: {exc.msg}")
     if not isinstance(cfg, dict):
         raise ConfigError("config: top level must be an object")
-    version = _number(cfg, "schema_version", integer=True)
-    if version != SCHEMA_VERSION:
+    if (version := _read(cfg, "schema_version")) != SCHEMA_VERSION:
         raise ConfigError(f"config: schema_version {version} unsupported (want {SCHEMA_VERSION})")
-    unknown = sorted(set(cfg) - CONFIG_FIELDS)
+    unknown = sorted(set(cfg) - set(CONFIG_SCHEMA))
     if unknown:
         raise ConfigError(f"config: unknown fields {unknown}")
     return cfg
 
 
 def sim_config_from_dict(cfg: dict):
-    n = _number(cfg, "n", integer=True)
-    length = _number(cfg, "length")
-    try:
-        grid = Grid(n, length)
+    try:  # Grid and SimConfig check their own ranges and raise ValueError
+        grid = Grid(_read(cfg, "n"), _read(cfg, "length"))
+        value = {key: _read(cfg, key, grid.n) for key in CONFIG_SCHEMA}  # checks every field
+        g, provenance = coefficients_from_config(cfg)
+        stepping = {key: value[key] for key in STEPPING_FIELDS if value[key] is not _UNSET}
+        if (policy := value["dealias"]) is not _UNSET:
+            try:
+                grid.retained_bins(policy)
+            except ValueError:
+                raise ConfigError(f"config: field 'dealias' must be "
+                                  f"{'|'.join(DEALIAS_FRACTIONS)}|null, got {policy!r}") from None
+            stepping["dealias_policy"] = policy
+        return SimConfig(grid=grid, coefficients=g, **stepping), provenance
     except ValueError as exc:
         raise ConfigError(f"config: {exc}")
-    g, provenance = coefficients_from_config(cfg)
-    policy = cfg.get("dealias", "two_thirds")
-    try:
-        grid.retained_bins(policy)
-    except ValueError:
-        raise ConfigError(f"config: field 'dealias' must be {'|'.join(DEALIAS_FRACTIONS)}|null, got {policy!r}") from None
-    try:
-        sim = SimConfig(
-            grid=grid,
-            coefficients=g,
-            t_end=_number(cfg, "t_end"),
-            dt=_number(cfg, "dt", None),
-            cfl=_number(cfg, "cfl", None),
-            dealias_policy=policy,
-            snapshot_stride=_number(cfg, "snapshot_stride", 1, integer=True),
-            breaking_stop=_number(cfg, "breaking_stop", None),
-            sobolev_s=_number(cfg, "sobolev_s", 1.5),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"config: {exc}")
-    return sim, provenance
 
 
 PLOT_SCRIPT = """\

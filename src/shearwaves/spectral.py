@@ -10,8 +10,8 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["DEALIAS_FRACTIONS", "GRID_MAX_N", "Grid", "Field", "derivative", "helmholtz_inverse",
-           "helmholtz_inverse_dx", "dealias", "sup_norm", "sobolev_norm",
+__all__ = ["DEALIAS_FRACTIONS", "GRID_MAX_N", "GRID_MIN_DX", "Grid", "Field", "derivative",
+           "helmholtz_inverse", "helmholtz_inverse_dx", "dealias", "sup_norm", "sobolev_norm",
            "random_mode_coefficients", "trig_field", "csv_text", "field_to_csv"]
 
 # Dealiasing cutoffs as fractions of the Nyquist wavenumber.  two_thirds is the
@@ -22,6 +22,7 @@ DEALIAS_FRACTIONS = {
     "strong": 2.0 / 7.0,
 }
 GRID_MAX_N = 2**20  # largest grid size; a larger one fails here, not in an allocation
+GRID_MIN_DX = 1e-100  # smallest spacing length/n: k_max^2 and (1 + k_max^2)^1.5 stay finite
 
 
 class Grid:
@@ -32,6 +33,8 @@ class Grid:
             raise ValueError(f"grid size must be even and in [16, {GRID_MAX_N}], got {n}")
         if not (length > 0 and np.isfinite(length)):
             raise ValueError(f"grid length must be positive and finite, got {length}")
+        if length / n < GRID_MIN_DX:
+            raise ValueError(f"grid spacing length/n must be >= {GRID_MIN_DX}, got {length / n:g}")
         self.n = int(n)
         self.length = float(length)
         self.dx = self.length / self.n

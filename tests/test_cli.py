@@ -455,6 +455,65 @@ def test_simulate_config_errors(tmp_path, capsys, mutate, message_part):
     assert not outdir.exists()
 
 
+# every numeric field of the schema, and each side of each initial-state range on
+# the n = 128 grid of _write_config (n/2 = 64), with the kind that reads the field
+NUMERIC_FIELDS = [key for key, (json_type, *_) in cli.CONFIG_SCHEMA.items()
+                  if json_type in (int, float)]
+BAD_NUMBERS = {"string": "1", "bool": True, "nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+RANGE_SIDES = {  # field: [(value, in range)]
+    "mode": [(-64, False), (-63, True), (63, True), (64, False)],
+    "width": [(0, False), (5e-324, True)],
+    "seed": [(-1, False), (0, True)],
+    "max_mode": [(0, False), (1, True), (63, True), (64, False)],
+}
+READER = {"mode": "sine", "width": "sech2", "seed": "random_bandlimited",
+          "max_mode": "random_bandlimited"}
+
+
+def test_range_sides_cover_the_schema_ranges():
+    assert sorted(RANGE_SIDES) == sorted(key for key, row in cli.CONFIG_SCHEMA.items() if len(row) > 2)
+
+
+@pytest.mark.parametrize("overrides, message_part", [
+    *(pytest.param({key: bad}, f"field {key!r} must be", id=f"{key}-{label}")
+      for key in NUMERIC_FIELDS for label, bad in BAD_NUMBERS.items()),
+    *(pytest.param({"initial": READER[key], key: value}, f"field {key!r} must", id=f"{key}={value}")
+      for key, sides in RANGE_SIDES.items() for value, ok in sides if not ok),
+    # a range holds whichever initial kind reads the field, or none does
+    pytest.param({"initial": "sine", "width": -5}, "'width' must be > 0, got -5.0", id="sine-width"),
+    pytest.param({"initial": "sine", "seed": -3}, "'seed' must be >= 0, got -3", id="sine-seed"),
+    pytest.param({"mode": 10**9}, "'mode' must lie in (-n/2, n/2) = (-64, 64), got 1000000000",
+                 id="sech2-mode"),
+    pytest.param({"initial": "zero", "width": -1}, "'width' must be > 0, got -1.0", id="zero-width"),
+    # k_max^2 would overflow: NaN norms in every diagnostics row
+    pytest.param({"length": 1e-300}, "grid spacing length/n must be >= 1e-100", id="length-tiny"),
+    pytest.param({"initial": "random_bandlimited", "amplitude": 1e308},
+                 "initial state 'random_bandlimited' has a non-finite sample", id="random-overflow"),
+])
+def test_simulate_schema_errors(tmp_path, capsys, overrides, message_part):
+    cfg_path = tmp_path / "bad.json"
+    _write_config(cfg_path, **overrides)
+    outdir = tmp_path / "out"
+    assert run_cli("simulate", str(cfg_path), "--out", str(outdir)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config: ") and message_part in err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("overrides", [
+    *(pytest.param({"initial": READER[key], key: value, "t_end": 0.002}, id=f"{key}={value}")
+      for key, sides in RANGE_SIDES.items() for value, ok in sides if ok),
+    # a narrow sech2: cosh overflows away from the crest, where u0 = amp/inf = 0 exactly
+    pytest.param({"width": 0.02, "n": 1024}, id="sech2-narrow"),
+])
+def test_simulate_in_range_runs_quietly(tmp_path, capsys, recwarn, overrides):
+    cfg_path = tmp_path / "good.json"
+    _write_config(cfg_path, **overrides)
+    assert run_cli("simulate", str(cfg_path), "--out", str(tmp_path / "out")) == 0
+    assert capsys.readouterr().err == ""
+    assert [str(w.message) for w in recwarn] == []
+
+
 def _simulate_into_file(tmp_path):
     cfg_path = tmp_path / "run.json"
     _write_config(cfg_path)

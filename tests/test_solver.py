@@ -495,8 +495,9 @@ def _small_cfl_attempts(monkeypatch, t_end, stride=1):
         attempts.append(dt)
         return step_rk4(plan, w, dt, t)
 
-    monkeypatch.setattr(solver, "step_rk4", recorded)
-    return attempts, integrate(cfg, u0)
+    with monkeypatch.context() as patch:  # undone on return: a later integrate steps unrecorded
+        patch.setattr(solver, "step_rk4", recorded)
+        return attempts, integrate(cfg, u0)
 
 
 def test_cfl_step_below_the_floor_ends_the_run(monkeypatch):
