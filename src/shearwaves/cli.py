@@ -227,9 +227,9 @@ def cmd_verify(args) -> int:
 _REQUIRED, _UNSET = object(), object()
 
 # Every top-level run-configuration field, once: (JSON type, default[, range test on
-# (value, h = n/2), range text, {0} = h]).  A range holds whenever its field is present.
-# _UNSET leaves the default to the reader (center: length/2) or to SimConfig, which gets
-# the STEPPING_FIELDS present and checks their ranges, as Grid checks n and length.
+# (value, h = n/2), range text, {0} = h]).  A range holds whenever its field is present,
+# and on the default its initial kind reads.  _UNSET leaves the default to the reader
+# (center: length/2) or to SimConfig, which gets its fields present and checks their ranges.
 CONFIG_SCHEMA = {
     "schema_version": (int, _REQUIRED),
     "n": (int, _REQUIRED),
@@ -251,7 +251,6 @@ CONFIG_SCHEMA = {
     "seed": (int, 0, lambda v, h: v >= 0, "be >= 0"),
     "max_mode": (int, 8, lambda v, h: 1 <= v < h, "lie in [1, n/2) = [1, {0})"),
 }
-STEPPING_FIELDS = ("t_end", "dt", "cfl", "snapshot_stride", "breaking_stop", "sobolev_s")
 
 
 def _read(cfg: dict, key: str, n: int = 0, row: tuple | None = None, context: str = "config"):
@@ -265,13 +264,13 @@ def _read(cfg: dict, key: str, n: int = 0, row: tuple | None = None, context: st
     if value is None:
         if default is _REQUIRED:
             raise ConfigError(f"{context}: missing field {key!r}")
-        return default
-    if json_type in (str, dict) and not isinstance(value, json_type):
+        value = default
+    elif json_type in (str, dict) and not isinstance(value, json_type):
         raise ConfigError(f"{context}: field {key!r} has type {type(value).__name__}")
-    if isinstance(value, bool) or not isinstance(value, (int, json_type)):
+    elif isinstance(value, bool) or not isinstance(value, (int, json_type)):
         kind = "an integer" if json_type is int else "a finite number"
         raise ConfigError(f"{context}: field {key!r} must be {kind}, got {value!r}")
-    if json_type is float:
+    elif json_type is float:
         try:
             value = float(value)
         except OverflowError:
@@ -350,9 +349,11 @@ def load_config(path) -> dict:
 def sim_config_from_dict(cfg: dict):
     try:  # Grid and SimConfig check their own ranges and raise ValueError
         grid = Grid(_read(cfg, "n"), _read(cfg, "length"))
-        value = {key: _read(cfg, key, grid.n) for key in CONFIG_SCHEMA}  # checks every field
+        value = {key: _read(cfg, key, grid.n) for key, row in CONFIG_SCHEMA.items()
+                 if len(row) == 2 or cfg.get(key) is not None}  # a range: only when present
         g, provenance = coefficients_from_config(cfg)
-        stepping = {key: value[key] for key in STEPPING_FIELDS if value[key] is not _UNSET}
+        stepping = {f.name: value[f.name] for f in fields(SimConfig)
+                    if f.name != "coefficients" and value.get(f.name, _UNSET) is not _UNSET}
         if (policy := value["dealias"]) is not _UNSET:
             try:
                 grid.retained_bins(policy)

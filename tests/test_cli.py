@@ -489,6 +489,11 @@ def test_range_sides_cover_the_schema_ranges():
     pytest.param({"length": 1e-300}, "grid spacing length/n must be >= 1e-100", id="length-tiny"),
     pytest.param({"initial": "random_bandlimited", "amplitude": 1e308},
                  "initial state 'random_bandlimited' has a non-finite sample", id="random-overflow"),
+    # the kind that reads a field checks its default too: max_mode 8 at n = 16 is n/2
+    pytest.param({"n": 16, "initial": "random_bandlimited"},
+                 "field 'max_mode' must lie in [1, n/2) = [1, 8), got 8", id="n16-max_mode-default"),
+    pytest.param({"n": 16, "initial": "random_bandlimited", "max_mode": None},
+                 "field 'max_mode' must lie in [1, n/2) = [1, 8), got 8", id="n16-max_mode-null"),
 ])
 def test_simulate_schema_errors(tmp_path, capsys, overrides, message_part):
     cfg_path = tmp_path / "bad.json"
@@ -505,6 +510,8 @@ def test_simulate_schema_errors(tmp_path, capsys, overrides, message_part):
       for key, sides in RANGE_SIDES.items() for value, ok in sides if ok),
     # a narrow sech2: cosh overflows away from the crest, where u0 = amp/inf = 0 exactly
     pytest.param({"width": 0.02, "n": 1024}, id="sech2-narrow"),
+    # a default that no kind reads is not checked: max_mode 8 is n/2 at n = 16
+    pytest.param({"n": 16, "initial": "sine", "max_mode": None}, id="n16-max_mode-unread"),
 ])
 def test_simulate_in_range_runs_quietly(tmp_path, capsys, recwarn, overrides):
     cfg_path = tmp_path / "good.json"
