@@ -30,7 +30,7 @@ from .coeffs import (
     normalize,
     perturbed,
 )
-from .solver import SimConfig, Trajectory, breaking_monitor, integrate
+from .solver import SimConfig, Trajectory, breaking_crossing, breaking_monitor, integrate
 from .spectral import (
     DEALIAS_FRACTIONS,
     Field,
@@ -298,7 +298,7 @@ def initial_condition(cfg: dict, grid: Grid) -> Field:
             if kind == "sech2":  # amp / inf = 0 where cosh overflows
                 u0 = amp / np.cosh((grid.x - center) / width) ** 2
             else:
-                u0 = amp * np.exp(-((grid.x - center) ** 2) / (2 * width**2))
+                u0 = amp * np.exp(-(((grid.x - center) / width) ** 2) / 2)  # width**2 underflows
         elif kind == "random_bandlimited":
             rng = np.random.default_rng(_read(cfg, "seed", grid.n))
             a, b = random_mode_coefficients(rng, max_mode=_read(cfg, "max_mode", grid.n))
@@ -459,6 +459,9 @@ def write_run_outputs(outdir: Path, cfg: dict, sim: SimConfig, provenance: dict,
         "output_time_s": output_time,
         "dispersion_note": DISPERSION_NOTE,
     }
+    if traj.termination == "breaking_detected":  # the stop between the last two steps
+        manifest["t_stop"], manifest["breaking_integral_at_stop"] = breaking_crossing(
+            traj.series, sim.breaking_stop)
     _write_text(outdir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True))
 
 

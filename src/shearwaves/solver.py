@@ -5,8 +5,11 @@ Lawson's integrating-factor RK4 (J. D. Lawson 1967, SIAM J. Numer. Anal.
 purely imaginary symbol L(k) = ik (beta1/(1+k^2) - alpha1), which the factor
 exp(L dt) advances exactly; RK4 integrates the nonlinear rate only.  The
 smoothing operator caps the nonlinear dispersive multipliers at linear growth
-in |k|, so the stability cap of a CFL step needs only the nonlinear advection
-speed: dt <= cfl dx / max|alpha2 u + alpha3 u^2|.  Below the cap the step
+in |k|, so the stability cap of a CFL step needs only the nonlinear advection:
+its eigenvalues on the retained band reach i k_c speed, with k_c the band's
+highest wavenumber and speed = max|alpha2 u + alpha3 u^2|, and RK4 is stable
+on the imaginary axis up to |z| = 2 sqrt(2) (Hairer & Wanner, Solving ODEs
+II, IV.2), so dt <= cfl 2 sqrt(2) / (k_c speed).  Below the cap the step
 follows the embedded RK4(3) estimate of the interaction picture (Balac & Mahe
 2013, Comput. Phys. Commun. 184:1211) under the standard controller (Hairer,
 Norsett & Wanner, Solving ODEs I, II.4).
@@ -47,6 +50,7 @@ __all__ = [
     "step_rk4",
     "integrate",
     "breaking_monitor",
+    "breaking_crossing",
     "manufactured_forcing",
     "DIAGNOSTICS_HEADER",
 ]
@@ -56,12 +60,15 @@ class SimConfig:
     """Run description: grid, coefficients, stepping and output cadence.
 
     Exactly one of ``dt`` (fixed step, at least ``STEP_MIN_FRACTION`` t_end)
-    or ``cfl`` (Courant number in (0, 1]; each step is the smaller of the
-    stability cap and the error-controlled proposal, see ``integrate``) must
-    be set.  ``forcing`` is an optional callable (t, x_array) -> array added
-    to the right-hand side, used by the manufactured-solution harness.
+    or ``cfl`` must be set.  ``cfl`` in (0, 1] is the fraction of RK4's
+    stability limit 2 sqrt(2) / (k_c speed) on the retained band, k_c its
+    highest wavenumber: each step is the smaller of that cap and the
+    error-controlled proposal, see ``integrate``.  ``forcing`` is an
+    optional callable (t, x_array) -> array added to the right-hand side,
+    used by the manufactured-solution harness.
     ``breaking_stop`` ends the run at the first step with min u_x <= it (< 0;
-    min u_x <= 0 always).
+    min u_x <= 0 always).  ``sobolev_s`` must keep the largest weight
+    (1 + k_max^2)^s of the hs norm finite.
     """
 
     grid: Grid
@@ -97,6 +104,11 @@ class SimConfig:
             raise ValueError("breaking_stop must be finite, got -inf")
         if not -math.inf < self.sobolev_s < math.inf:
             raise ValueError(f"sobolev_s must be finite, got {self.sobolev_s}")
+        try:  # the largest weight of the hs norm; float ** raises on overflow
+            (1.0 + self.grid.k_max**2) ** self.sobolev_s
+        except OverflowError:
+            raise ValueError(f"sobolev_s = {self.sobolev_s} overflows the weight (1 + k_max^2)^s "
+                             f"at k_max = {self.grid.k_max:g}") from None
         self.grid.retained_bins(self.dealias_policy)
 
 
@@ -228,6 +240,8 @@ def _diagnose(plan: LawsonRK4, w: np.ndarray, row: tuple, s: float) -> Diagnosti
                              ch_energy=float(grid.dx * np.sum(u**2 + ux**2)))
 
 
+RK4_IMAGINARY_LIMIT = 2 * math.sqrt(2)  # RK4 is stable on the imaginary axis up to |z| = it
+
 # error control of CFL steps (see ``integrate``)
 STEP_TOLERANCE = 1e-8
 STEP_MIN_FRACTION = 1e-6  # floor of a step as a share of t_end: fixed dt below it is refused
@@ -264,8 +278,10 @@ def integrate(cfg: SimConfig, u0: Field) -> Trajectory:
     stop, and sets a CFL run's stability cap for the next step.
 
     A CFL step is the smaller of the stability cap at the state it starts
-    from and the last step size times ``_step_factor`` of its error estimate
-    (at first the cap, or cfl dx at zero speed).  A step past
+    from, cfl ``RK4_IMAGINARY_LIMIT`` / (k_c speed) with the band edge
+    k_c = ``grid.k[m - 1]`` and the state's ``advection_speed_bound``, and
+    the last step size times ``_step_factor`` of its error estimate (at
+    first the cap, or cfl dx at zero speed).  A step past
     ``STEP_TOLERANCE`` is retried smaller from the state it started from, k1
     re-primed.
     A step below ``STEP_MIN_FRACTION`` t_end, the clip to t_end aside, ends
@@ -280,6 +296,7 @@ def integrate(cfg: SimConfig, u0: Field) -> Trajectory:
     plan.k1 = plan.rate(w, 0.0)
     values, slopes = plan.work.values
     t, tiny, cap = 0.0, 1e-12 * cfg.t_end, math.inf
+    k_c = float(grid.k[plan.m - 1])  # the retained band's edge
     traj = Trajectory()
     series = array("d")  # flat rows (t, sup_u, min_ux, max_ux, breaking_integral)
 
@@ -300,7 +317,7 @@ def integrate(cfg: SimConfig, u0: Field) -> Trajectory:
             traj.snapshots.append(Field(grid, values.copy()))
         if cfg.cfl is not None:
             speed = advection_speed_bound(values, g)
-            cap = cfg.cfl * grid.dx / speed if speed > 0 else math.inf
+            cap = cfg.cfl * RK4_IMAGINARY_LIMIT / (k_c * speed) if speed > 0 else math.inf
         return stop
 
     accept()  # the run ignores the stop at t = 0
@@ -332,6 +349,18 @@ def integrate(cfg: SimConfig, u0: Field) -> Trajectory:
     traj.t_final = t
     traj.series = np.frombuffer(series).reshape(-1, 5)
     return traj
+
+
+def breaking_crossing(series: np.ndarray, stop: float) -> tuple[float, float]:
+    """Time and breaking integral at which min u_x crosses ``stop`` between
+    the last two rows of the series of a run that ended on that breaking stop:
+    min u_x interpolated linearly in t (event location by dense output,
+    Hairer, Norsett & Wanner, Solving ODEs I, II.6), the integral at the same
+    fraction of the step.  A crossing at or before the earlier row (the stop
+    is not tested at t = 0) is placed at that row."""
+    (t0, _, min0, _, integral0), (t1, _, min1, _, integral1) = series[-2:].tolist()
+    theta = (min0 - stop) / (min0 - min1) if min0 > stop else 0.0
+    return t0 + theta * (t1 - t0), integral0 + theta * (integral1 - integral0)
 
 
 # thresholds of the breaking signature (see ``breaking_monitor``)

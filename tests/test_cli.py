@@ -290,8 +290,10 @@ def test_simulate_breaking_flag_in_manifest(tmp_path):
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["termination"] == "breaking_detected"
     assert manifest["breaking_verdict"] == "breaking_signature"
-    # a CFL run counts its accepted and rejected steps; the stop falls on a record
-    assert manifest["steps"] == 10 * (manifest["records"] - 1)
+    # a CFL run counts its accepted and rejected steps; it records every 10th
+    # step and the stop, which need not fall on a stride multiple
+    steps = manifest["steps"]
+    assert manifest["records"] == steps // 10 + 1 + (steps % 10 != 0)
     assert manifest["rejected_steps"] >= 0
 
 
@@ -306,17 +308,59 @@ def _outdir(tmp_path):
     return tmp_path / "out"
 
 
+CAMASSA_HOLM = {"alpha1": 0.0, "alpha2": 1.0, "alpha3": 0.0, "beta1": 0.0, "beta2": -1.0,
+                "beta3": 0.0, "beta4": 0.0, "beta5": 0.0, "beta6": 0.0, "beta7": -0.5,
+                "beta8": 0.0, "gamma": 0.0}
+
+
 @pytest.fixture(scope="module")
 def dense_run():
     """The criterion-8 Camassa-Holm breaking run at n = 1024 with a snapshot
-    every step: 258 records."""
-    ch = {"alpha1": 0.0, "alpha2": 1.0, "alpha3": 0.0, "beta1": 0.0, "beta2": -1.0,
-          "beta3": 0.0, "beta4": 0.0, "beta5": 0.0, "beta6": 0.0, "beta7": -0.5,
-          "beta8": 0.0, "gamma": 0.0}
+    every step: 192 records."""
     cfg = {"schema_version": 1, "n": 1024, "length": 40.0, "t_end": 14.0, "cfl": 0.3,
-           "snapshot_stride": 1, "coefficients": ch, "initial": "sine", "amplitude": -1.5,
-           "breaking_stop": -12.0 * 1.5 * 2 * math.pi / 40.0}
+           "snapshot_stride": 1, "coefficients": CAMASSA_HOLM, "initial": "sine",
+           "amplitude": -1.5, "breaking_stop": -12.0 * 1.5 * 2 * math.pi / 40.0}
     return (cfg, *_run(cfg))
+
+
+def test_simulate_reports_the_stop_at_the_crossing(tmp_path):
+    # the crossing of breaking_stop, interpolated between the last two accepted
+    # steps, is the same at every stride and lies within the last step
+    cfg = {"schema_version": 1, "n": 256, "length": 40.0, "t_end": 14.0, "cfl": 0.3,
+           "coefficients": CAMASSA_HOLM, "initial": "sine", "amplitude": -1.5,
+           "breaking_stop": -6.0 * 1.5 * 2 * math.pi / 40.0}
+    manifests = []
+    for stride in (1, 7, 100):
+        cfg_path, outdir = tmp_path / f"ch_{stride}.json", tmp_path / f"ch_{stride}"
+        cfg_path.write_text(json.dumps(dict(cfg, snapshot_stride=stride)))
+        assert run_cli("simulate", str(cfg_path), "--out", str(outdir)) == 0
+        manifests.append(json.loads((outdir / "manifest.json").read_text()))
+    t_stop, integral = manifests[0]["t_stop"], manifests[0]["breaking_integral_at_stop"]
+    for manifest in manifests:
+        assert manifest["termination"] == "breaking_detected"
+        assert (manifest["t_stop"], manifest["breaking_integral_at_stop"]) == (t_stop, integral)
+    rows = np.loadtxt(tmp_path / "ch_1" / "diagnostics.csv", delimiter=",", skiprows=1)
+    assert rows[-2, 0] < t_stop <= rows[-1, 0] == manifests[0]["t_final"]
+    assert rows[-2, 6] < integral <= rows[-1, 6]
+    # a run that does not stop on breaking reports neither
+    cfg_path = tmp_path / "run.json"
+    _write_config(cfg_path)
+    assert run_cli("simulate", str(cfg_path), "--out", str(tmp_path / "out")) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert not {"t_stop", "breaking_integral_at_stop"} & set(manifest)
+
+
+def test_gaussian_with_a_tiny_width_runs_as_sech2_does(tmp_path, capsys):
+    # (x - center)**2 / (2 width**2) would be 0/0 at the centre: width**2 underflows
+    outputs = []
+    for kind in ("sech2", "gaussian"):
+        cfg_path, outdir = tmp_path / f"{kind}.json", tmp_path / kind
+        _write_config(cfg_path, initial=kind, width=1e-300)
+        assert run_cli("simulate", str(cfg_path), "--out", str(outdir)) == 0
+        assert capsys.readouterr().err == ""
+        outputs.append([(outdir / name).read_bytes()
+                        for name in ("diagnostics.csv", "snapshots/final.csv")])
+    assert outputs[0] == outputs[1]
 
 
 def test_snapshot_files_match_sequential_writes(tmp_path, dense_run):
@@ -340,7 +384,7 @@ def test_snapshot_files_match_sequential_writes(tmp_path, dense_run):
 
 def test_snapshot_write_ahead_bounds_memory(tmp_path, dense_run, monkeypatch):
     # a writer slower than the formatter, as on a slow disk: without the bound
-    # the formatted texts would pile up (all 258 are about 7.8 MB)
+    # the formatted texts would pile up (all 192 are about 5.8 MB)
     def slow_open(*args, **kwargs):
         time.sleep(0.002)
         return open(*args, **kwargs)
@@ -355,8 +399,8 @@ def test_snapshot_write_ahead_bounds_memory(tmp_path, dense_run, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(traj.snapshots) == 258
-    assert len(list((outdir / "snapshots").glob("snap_*.csv"))) == 258
+    assert len(traj.snapshots) == 192
+    assert len(list((outdir / "snapshots").glob("snap_*.csv"))) == 192
     assert peak - base < 2**20
 
 
@@ -487,6 +531,9 @@ def test_range_sides_cover_the_schema_ranges():
     pytest.param({"initial": "zero", "width": -1}, "'width' must be > 0, got -1.0", id="zero-width"),
     # k_max^2 would overflow: NaN norms in every diagnostics row
     pytest.param({"length": 1e-300}, "grid spacing length/n must be >= 1e-100", id="length-tiny"),
+    # the hs weight (1 + k_max^2)^s overflows: hs would be inf in every row
+    pytest.param({"n": 1024, "sobolev_s": 100.0}, "sobolev_s = 100.0 overflows the weight",
+                 id="sobolev_s-overflow"),
     pytest.param({"initial": "random_bandlimited", "amplitude": 1e308},
                  "initial state 'random_bandlimited' has a non-finite sample", id="random-overflow"),
     # the kind that reads a field checks its default too: max_mode 8 at n = 16 is n/2

@@ -13,9 +13,11 @@ from shearwaves.coeffs import GeneralCoefficients, model_coefficients, normalize
 from shearwaves.forms import rate_hat
 from shearwaves.solver import (
     DIAGNOSTICS_HEADER,
+    RK4_IMAGINARY_LIMIT,
     LawsonRK4,
     SimConfig,
     advection_speed_bound,
+    breaking_crossing,
     breaking_monitor,
     integrate,
     manufactured_forcing,
@@ -398,13 +400,39 @@ def _sine_cfl_run(**overrides):
     return integrate(dataclasses.replace(cfg, **overrides), u0)
 
 
+@pytest.mark.parametrize("policy", ["two_thirds", "strong", None])
+def test_the_stability_cap_is_rk4s_limit_on_the_retained_band(policy):
+    # alpha2 u u_x alone on u = 1 + a ripple near the band edge k_c: the ripple
+    # is advected at speed 1, so a step of dt multiplies it by RK4's R(i k dt),
+    # of modulus below 1 only while k dt <= 2 sqrt(2)
+    advection = dataclasses.replace(CH, beta2=0.0, beta7=0.0)
+    grid = Grid(256, 40.0)
+    m = grid.retained_bins(policy)
+    u0 = Field(grid, 1.0 + 1e-9 * np.cos(grid.k[m - 2] * grid.x))
+
+    def ripple(f):
+        dt = f * RK4_IMAGINARY_LIMIT / (grid.k[m - 1] * np.max(np.abs(u0.values)))
+        traj = integrate(SimConfig(grid=grid, coefficients=advection, t_end=100 * dt, dt=dt,
+                                   dealias_policy=policy, snapshot_stride=100), u0)
+        if traj.termination == "nonfinite":
+            return math.inf
+        assert traj.steps == 100
+        return np.max(np.abs(traj.final().values - 1.0))
+
+    assert ripple(0.95) <= 1e-9
+    assert ripple(1.05) >= 1e3 * 1e-9
+
+
 def test_cfl_steps_stay_below_the_stability_cap():
-    traj = _sine_cfl_run()
+    # at cfl 0.5 the error control binds (31 of 32 steps at 0.94 of the cap)
+    traj = _sine_cfl_run(cfl=0.4)
     assert traj.termination == "completed"
     assert traj.steps == len(traj.records) - 1
-    dx = traj.snapshots[0].grid.dx
-    ratios = [(b.t - a.t) / (0.5 * dx / advection_speed_bound(u.values, CH))
-              for a, b, u in zip(traj.records, traj.records[1:], traj.snapshots)]
+    grid = traj.snapshots[0].grid
+    k_c = grid.k[grid.retained_bins("two_thirds") - 1]  # the edge of the retained band
+    caps = [0.4 * RK4_IMAGINARY_LIMIT / (k_c * advection_speed_bound(u.values, CH))
+            for u in traj.snapshots]
+    ratios = [(b.t - a.t) / cap for a, b, cap in zip(traj.records, traj.records[1:], caps)]
     # t is a running sum, so a step read back from it carries round-off
     assert max(ratios) <= 1.0 + 1e-12
     assert sum(r > 1.0 - 1e-9 for r in ratios) > len(ratios) // 2  # the cap binds
@@ -638,7 +666,7 @@ def test_breaking_integral_is_nondecreasing_and_second_order():
 
 
 def test_breaking_stop_falls_on_the_same_step_at_any_stride():
-    # the stop is tested after every accepted step: 57 steps at n = 256, a
+    # the stop is tested after every accepted step: 56 steps at n = 256, a
     # step that strides 7 and 100 do not record, so the stop records it
     grid = Grid(256, 40.0)
     u0 = Field(grid, -1.5 * np.sin(2 * np.pi * grid.x / 40.0))
@@ -646,7 +674,7 @@ def test_breaking_stop_falls_on_the_same_step_at_any_stride():
     cfg = SimConfig(grid=grid, coefficients=CH, t_end=14.0, cfl=0.3, breaking_stop=stop)
     runs = [integrate(dataclasses.replace(cfg, snapshot_stride=stride), u0)
             for stride in (1, 7, 100)]
-    assert [len(traj.records) for traj in runs] == [58, 10, 2]
+    assert [len(traj.records) for traj in runs] == [57, 9, 2]
     for traj in runs:
         assert traj.termination == "breaking_detected"
         assert (traj.steps, traj.t_final) == (runs[0].steps, runs[0].t_final)
@@ -663,6 +691,23 @@ def _breaking_run(a=1.5, n=1024, cfl=0.3):
     cfg = SimConfig(grid=grid, coefficients=CH, t_end=14.0, cfl=cfl,
                     snapshot_stride=10, breaking_stop=-12.0 * slope0)
     return integrate(cfg, u0)
+
+
+def test_breaking_stop_is_located_at_the_crossing():
+    # criterion 8 at three step sizes: the last step's time moves by 8e-3, the
+    # crossing of the stop interpolated between the last two steps by 1e-5
+    stop = -12.0 * 1.5 * 2 * np.pi / 40.0
+    runs = [_breaking_run(n=n, cfl=cfl) for n, cfl in ((1024, 0.3), (2048, 0.15), (1024, 0.075))]
+    crossings = np.array([breaking_crossing(traj.series, stop) for traj in runs])
+    assert np.ptp(crossings[:, 0]) <= 2e-5
+    assert np.ptp(crossings[:, 1]) <= 1e-3
+    assert np.ptp([traj.t_final for traj in runs]) > 100 * np.ptp(crossings[:, 0])
+    for traj, (t_stop, integral) in zip(runs, crossings):
+        assert traj.termination == "breaking_detected"
+        (t0, _, min0, _, integral0), (t1, _, min1, _, integral1) = traj.series[-2:]
+        assert min1 <= stop < min0
+        assert t0 < t_stop <= t1 == traj.t_final
+        assert integral0 < integral <= integral1
 
 
 def test_breaking_signature_detected():
