@@ -3,9 +3,12 @@ and the acceptance tests.
 
 ``SUITES`` maps each ``verify --only`` name to a function
 ``(seed, m, g_override) -> [entry, ...]``; an entry records the check name,
-grid, residual, tolerance and pass flag.  The manufactured-solution (MMS)
-study behind ``convergence`` lives here as well: ``temporal_order`` and
-``spatial_error_ratio`` run the integrator on problems with known answers.
+grid, residual, tolerance and pass flag.  Acceptance criteria 3-5 and 7-9
+call these entries; ``verify`` without ``--only`` runs ``DEFAULT_SUITES``,
+which leaves out the 0.1-0.5 s solver runs of ``ch_reduction`` and
+``breaking``.  The manufactured-solution (MMS) study behind ``convergence``
+lives here as well: ``temporal_order`` and ``spatial_error_ratio`` run the
+integrator on problems with known answers.
 """
 from __future__ import annotations
 
@@ -15,16 +18,18 @@ import sys
 import numpy as np
 
 from . import besov as besov_mod
+from .coeffs import GeneralCoefficients, model_coefficients, normalize
 from .forms import (
     RESCALE_TOL,
     ProfileSum,
     ScaleParams,
     TravelingGaussian,
+    rhs_nonlocal,
     verify_form_equivalence,
     verify_rescale,
 )
-from .oracles import helmholtz_inverse_quadrature
-from .solver import SimConfig, integrate, manufactured_forcing
+from .oracles import camassa_holm_rhs, helmholtz_inverse_quadrature
+from .solver import SimConfig, breaking_monitor, integrate, manufactured_forcing
 from .spectral import (
     Field,
     Grid,
@@ -34,8 +39,8 @@ from .spectral import (
     trig_field,
 )
 
-__all__ = ["SUITES", "MIN_ORDER", "MIN_RATIO", "mms_solution", "temporal_order",
-           "spatial_error_ratio"]
+__all__ = ["SUITES", "DEFAULT_SUITES", "CAMASSA_HOLM", "BESOV_SAMPLES", "MIN_ORDER",
+           "MIN_RATIO", "mms_solution", "temporal_order", "spatial_error_ratio"]
 
 # the ``convergence`` gate: temporal order >= MIN_ORDER and spatial ratio > MIN_RATIO
 MIN_ORDER = 3.8
@@ -49,6 +54,11 @@ MIN_RATIO = 1e3
 # random fields drawn by the sample-based suites
 FORM_SAMPLES = 50
 BESOV_SAMPLES = 100
+
+# Camassa-Holm in the nonlocal coefficient set: the equation of oracles.camassa_holm_rhs
+CAMASSA_HOLM = GeneralCoefficients(alpha1=0.0, alpha2=1.0, alpha3=0.0, beta1=0.0, beta2=-1.0,
+                                   beta3=0.0, beta4=0.0, beta5=0.0, beta6=0.0, beta7=-0.5,
+                                   beta8=0.0, gamma=0.0)
 
 
 def _check_entry(check, n, length, residual, tolerance, passed=None):
@@ -120,7 +130,7 @@ def besov_suite(seed: int):
     worst = float(np.max([r["defect_or_ratio"] for r in exact]))  # keeps a NaN
     entries = [_check_entry("besov_exact_inequalities", grid.n, grid.length, worst, 1e-12,
                             passed=worst < 1e-12 and all(r["pass"] for r in exact))]
-    recon = float(np.max([besov_mod.decompose(f).reconstruction_residual() for f in fields[:10]]))
+    recon = float(np.max([besov_mod.decompose(f).reconstruction_residual() for f in fields]))
     entries.append(_check_entry("besov_reconstruction", grid.n, grid.length,
                                 recon, 1e-10))
     ratios = [r["defect_or_ratio"] for r in report if r["check"] == "log_interpolation_ratio"]
@@ -130,6 +140,49 @@ def besov_suite(seed: int):
     return entries
 
 
+def ch_reduction(seed: int):
+    """At ``CAMASSA_HOLM`` the CH energy of a sech^2 run to t = 1 drifts by
+    round-off, and the nonlocal rate matches the oracle on 10 random fields."""
+    grid = Grid(256, 40.0)
+    sim = SimConfig(grid=grid, coefficients=CAMASSA_HOLM, t_end=1.0, dt=2e-3, snapshot_stride=50)
+    traj = integrate(sim, Field(grid, 0.25 / np.cosh(grid.x - 20.0) ** 2))
+    energies = [r.ch_energy for r in traj.records]
+    rng = np.random.default_rng(seed)
+    fields = [trig_field(grid, *random_mode_coefficients(rng, 10), amplitude=0.5)
+              for _ in range(10)]
+    diffs = [sup_norm(rhs_nonlocal(u, CAMASSA_HOLM) - camassa_holm_rhs(u)) for u in fields]
+    return [_check_entry("ch_energy_drift", grid.n, grid.length,
+                         abs(energies[-1] - energies[0]) / energies[0], 1e-6),
+            _check_entry("ch_oracle_agreement", grid.n, grid.length, np.max(diffs), 1e-12)]
+
+
+def breaking():
+    """A CH sine wave on n = 1024 stops with the breaking signature, its slope
+    10x steeper (residual: initial over steepest min u_x) at bounded amplitude;
+    a smooth manufactured run stays quiet (residual: its final error)."""
+    grid, slope0 = Grid(1024, 40.0), 1.5 * 2 * np.pi / 40.0
+    sim = SimConfig(grid=grid, coefficients=CAMASSA_HOLM, t_end=14.0, cfl=0.3, snapshot_stride=10,
+                    breaking_stop=-12.0 * slope0)
+    traj = integrate(sim, Field(grid, -1.5 * np.sin(2 * np.pi * grid.x / 40.0)))
+    first = traj.records[0]
+    inverse_growth = first.min_ux / min(r.min_ux for r in traj.records)
+    drift = max(abs(r.sup_u - first.sup_u) for r in traj.records) / first.sup_u
+    signature = (traj.termination == "breaking_detected"
+                 and breaking_monitor(traj.records) == "breaking_signature")
+    g, smooth = normalize(model_coefficients(1.5)), Grid(128, 40.0)
+    u_exact, u_exact_t = mms_solution(40.0)
+    sim = SimConfig(grid=smooth, coefficients=g, t_end=2.0, dt=2e-3, snapshot_stride=20,
+                    forcing=manufactured_forcing(smooth, g, u_exact, u_exact_t, "two_thirds"))
+    quiet = integrate(sim, Field(smooth, u_exact(0.0, smooth.x)))
+    return [_check_entry("breaking_signature", grid.n, grid.length, inverse_growth, 0.1,
+                         passed=signature and inverse_growth <= 0.1),
+            _check_entry("breaking_amplitude_drift", grid.n, grid.length, drift, 0.10),
+            _check_entry("breaking_mms_quiet", smooth.n, smooth.length,
+                         np.max(np.abs(quiet.final().values - u_exact(2.0, smooth.x))), math.inf,
+                         passed=quiet.termination == "completed"
+                         and breaking_monitor(quiet.records) == "no_breaking_evidence")]
+
+
 # name -> fn(seed, m, g_override); ``g_override`` replaces the normalized
 # coefficients on the nonlocal route of the form-equivalence check only.
 SUITES = {
@@ -137,7 +190,10 @@ SUITES = {
     "form_equivalence": form_equivalence_suite,
     "rescale": lambda seed, m, g_override: rescale_suite(m),
     "besov": lambda seed, m, g_override: besov_suite(seed),
+    "ch_reduction": lambda seed, m, g_override: ch_reduction(seed),
+    "breaking": lambda seed, m, g_override: breaking(),
 }
+DEFAULT_SUITES = ("helmholtz", "form_equivalence", "rescale", "besov")
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checks import MIN_ORDER, MIN_RATIO, SUITES, spatial_error_ratio, temporal_order
+from .checks import DEFAULT_SUITES, MIN_ORDER, MIN_RATIO, SUITES, spatial_error_ratio, temporal_order
 from .coeffs import (
     GeneralCoefficients,
     ModelCoefficients,
@@ -204,15 +204,15 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"unknown suite {args.only!r}; options: {sorted(SUITES)}")
     if fault is not None and args.only not in (None, "form_equivalence"):  # the suite that reads it
         raise ConfigError(f"--inject-fault injects nothing into --only {args.only}")
-    if args.json:
+    if args.json is not None:
         _check_writable(args.json)
-    names = list(SUITES) if args.only is None else [args.only]
+    names = DEFAULT_SUITES if args.only is None else [args.only]
     entries = [e for name in names for e in SUITES[name](args.seed, m, g_override)]
     for e in entries:
         flag = "PASS" if e["pass"] else "FAIL"
         print(f"  {e['check']:<34} n={e['n']:<5} residual={e['residual']:.3e} "
               f"tol={e['tolerance']:.1e}  {flag}")
-    if args.json:
+    if args.json is not None:
         _write_text(args.json, _strict_json(entries))
     failing = [e["check"] for e in entries if not e["pass"]]
     if failing:
@@ -491,7 +491,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_convergence(args) -> int:
     g = vorticity_coefficients(args.A, "--A")
-    if args.json:
+    if args.json is not None:
         _check_writable(args.json)
     order, errs = temporal_order(g)
     print(f"temporal Richardson order: {order:.3f}  (mms errors: "
@@ -500,7 +500,7 @@ def cmd_convergence(args) -> int:
     print(f"spatial error ratio n=64 vs n=128: {ratio:.3e}  "
           f"(errors: {errors[64]:.3e}, {errors[128]:.3e})")
     ok = order >= MIN_ORDER and ratio > MIN_RATIO
-    if args.json:
+    if args.json is not None:
         _write_text(args.json, _strict_json({
             "temporal_order": order,
             "mms_errors": errs,

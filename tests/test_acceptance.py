@@ -1,19 +1,19 @@
 """Acceptance criteria, one test per criterion, each printing a PASS line.
 
-The check computations shared with the ``verify`` and ``convergence``
-commands live in ``shearwaves.checks``; every threshold this gate asserts is
-pinned here, so loosening a tolerance there cannot loosen the gate.  Run with
+Criteria 3-5 and 7-9 call the ``shearwaves.checks.SUITES`` entries that
+``verify`` runs, criterion 6 the ``convergence`` study, and criterion 10
+reruns ``simulate``; every threshold this gate asserts is pinned here, so
+loosening a tolerance in ``checks`` cannot loosen the gate.  Run with
 `pytest -v tests/test_acceptance.py` (add -s to see the per-criterion lines).
 """
 import json
-import math
 import time
 from fractions import Fraction as F
 
 import numpy as np
 
-from shearwaves.besov import decompose, inequality_suite
-from shearwaves.checks import SUITES, mms_solution, spatial_error_ratio, temporal_order
+from shearwaves.checks import BESOV_SAMPLES, CAMASSA_HOLM, SUITES
+from shearwaves.checks import spatial_error_ratio, temporal_order
 from shearwaves.cli import main as cli_main
 from shearwaves.coeffs import (
     GeneralCoefficients,
@@ -22,16 +22,7 @@ from shearwaves.coeffs import (
     model_coefficients,
     normalize,
 )
-from shearwaves.oracles import camassa_holm_rhs
-from shearwaves.solver import SimConfig, breaking_monitor, integrate, manufactured_forcing
-from shearwaves.spectral import (
-    Field,
-    Grid,
-    helmholtz_inverse,
-    random_mode_coefficients,
-    sup_norm,
-    trig_field,
-)
+from shearwaves.spectral import Field, Grid, helmholtz_inverse
 
 CH = GeneralCoefficients(alpha1=0.0, alpha2=1.0, alpha3=0.0, beta1=0.0, beta2=-1.0,
                          beta3=0.0, beta4=0.0, beta5=0.0, beta6=0.0, beta7=-0.5,
@@ -120,73 +111,36 @@ def test_criterion_6_solver_convergence():
 
 
 def test_criterion_7_ch_reduction():
-    grid = Grid(256, 40.0)
-    u0 = Field(grid, 0.25 / np.cosh(grid.x - 20.0) ** 2)
-    cfg = SimConfig(grid=grid, coefficients=CH, t_end=1.0, dt=2e-3, snapshot_stride=50)
-    traj = integrate(cfg, u0)
-    energies = [r.ch_energy for r in traj.records]
-    drift = abs(energies[-1] - energies[0]) / energies[0]
-    assert drift < 1e-6
-    from shearwaves.forms import rhs_nonlocal
-    rng = np.random.default_rng(13)
-    worst = 0.0
-    for _ in range(10):
-        a, b = random_mode_coefficients(rng, 10)
-        u = trig_field(grid, a, b, amplitude=0.5)
-        diff = sup_norm(rhs_nonlocal(u, CH) - camassa_holm_rhs(u, drift=CH.alpha1))
-        assert diff < 1e-12
-        worst = max(worst, diff)
-    _report(7, f"energy drift {drift:.1e} < 1e-6, oracle agreement {worst:.1e} < 1e-12")
+    assert CAMASSA_HOLM == CH
+    drift, oracle = SUITES["ch_reduction"](13, None, None)  # sech^2 run, 10 fields of seed 13
+    assert drift["n"] == 256 and drift["residual"] < 1e-6
+    assert oracle["residual"] < 1e-12
+    _report(7, f"energy drift {drift['residual']:.1e} < 1e-6, "
+               f"oracle agreement {oracle['residual']:.1e} < 1e-12")
 
 
 def test_criterion_8_wave_breaking_signature():
     start = time.perf_counter()
-    grid = Grid(1024, 40.0)
-    amp = 1.5
-    u0 = Field(grid, -amp * np.sin(2 * np.pi * grid.x / 40.0))
-    slope0 = amp * 2 * np.pi / 40.0
-    cfg = SimConfig(grid=grid, coefficients=CH, t_end=14.0, cfl=0.3,
-                    snapshot_stride=10, breaking_stop=-12.0 * slope0)
-    traj = integrate(cfg, u0)
-    records = traj.records
-    assert traj.termination == "breaking_detected"
-    assert breaking_monitor(records) == "breaking_signature"
-    worst_slope = min(r.min_ux for r in records)
-    assert worst_slope <= 10.0 * records[0].min_ux
-    amp_drift = max(abs(r.sup_u - records[0].sup_u) for r in records) / records[0].sup_u
-    assert amp_drift < 0.10
-
-    # smooth manufactured run must stay quiet
-    g = normalize(model_coefficients(1.5))
-    grid2 = Grid(128, 40.0)
-    u_exact, u_exact_t = mms_solution(40.0)
-    forcing = manufactured_forcing(grid2, g, u_exact, u_exact_t, "two_thirds")
-    cfg2 = SimConfig(grid=grid2, coefficients=g, t_end=2.0, dt=2e-3,
-                     forcing=forcing, snapshot_stride=20)
-    traj2 = integrate(cfg2, Field(grid2, u_exact(0.0, grid2.x)))
-    assert breaking_monitor(traj2.records) == "no_breaking_evidence"
+    assert CAMASSA_HOLM == CH
+    signature, amplitude, quiet = SUITES["breaking"](None, None, None)
+    growth = 1 / signature["residual"]  # steepest over initial min u_x
+    assert signature["n"] == 1024 and signature["pass"] and growth >= 10.0
+    assert amplitude["residual"] < 0.10
+    assert quiet["pass"]  # the smooth manufactured run stays quiet
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
-    _report(8, f"slope x{worst_slope / records[0].min_ux:.1f}, amplitude drift "
-               f"{amp_drift:.1%} < 10%, MMS quiet, {elapsed:.1f}s")
+    _report(8, f"slope x{growth:.1f}, amplitude drift "
+               f"{amplitude['residual']:.1%} < 10%, MMS quiet, {elapsed:.1f}s")
 
 
 def test_criterion_9_besov_suite():
-    grid = Grid(256, 40.0)
-    rng = np.random.default_rng(17)
-    fields = []
-    for _ in range(100):
-        a, b = random_mode_coefficients(rng, 40)
-        fields.append(trig_field(grid, a, b, amplitude=1.0))
-    worst_recon = max(decompose(f).reconstruction_residual() for f in fields)
-    assert worst_recon < 1e-10
-    report = inequality_suite(fields, exact_tol=1e-12)
-    for entry in report:
-        assert entry["pass"], entry
-    ratios = [e["defect_or_ratio"] for e in report if e["check"] == "log_interpolation_ratio"]
-    assert len(ratios) == 100 and all(math.isfinite(r) for r in ratios)
-    _report(9, f"reconstruction {worst_recon:.1e} < 1e-10, exact inequalities on 100 "
-               f"fields, log-ratio max {max(ratios):.3f}")
+    assert BESOV_SAMPLES == 100
+    exact, recon, ratio = SUITES["besov"](17, None, None)
+    assert exact["n"] == 256 and exact["pass"] and exact["residual"] < 1e-12
+    assert recon["residual"] < 1e-10
+    assert ratio["pass"]  # every field's log-interpolation ratio is finite
+    _report(9, f"reconstruction {recon['residual']:.1e} < 1e-10, exact inequalities on 100 "
+               f"fields, log-ratio max {ratio['residual']:.3f}")
 
 
 def test_criterion_10_determinism(tmp_path):

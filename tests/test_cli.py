@@ -54,13 +54,16 @@ def test_coeffs_sweep_rejects_bad_range(capsys):
     assert run_cli("coeffs", "--sweep", "10:1:5") == 2
 
 
-def test_verify_default_passes(capsys):
-    assert run_cli("verify") == 0
-    out = capsys.readouterr().out
-    assert "FAIL" not in out
-    assert "helmholtz_kernel_quadrature" in out
-    assert "rescale_single_factor" in out
-    assert "besov_reconstruction" in out
+def test_verify_default_passes(tmp_path, capsys):
+    report = tmp_path / "verify.json"
+    assert run_cli("verify", "--json", str(report)) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    # the default set is pinned: the solver suites, and any suite added to the
+    # registry later, run only under --only
+    assert [e["check"] for e in json.loads(report.read_text())] == [
+        "helmholtz_kernel_quadrature", "form_equivalence", "form_equivalence_refinement",
+        "rescale_single_factor", "besov_exact_inequalities", "besov_reconstruction",
+        "besov_log_interpolation_ratio"]
 
 
 def test_verify_only_filter(capsys):
@@ -118,8 +121,7 @@ def test_form_equivalence_faults_fail_both_entries(a, fault):
 
 @pytest.mark.parametrize("nan_field", [4, 37])
 def test_verify_besov_fails_on_nan_field(capsys, monkeypatch, nan_field):
-    # one NaN sample in one of the suite's random fields; the reconstruction
-    # check decomposes only the first 10
+    # one NaN sample in one of the suite's random fields fails all three checks
     real_trig_field = checks.trig_field
     calls = []
 
@@ -135,7 +137,7 @@ def test_verify_besov_fails_on_nan_field(capsys, monkeypatch, nan_field):
     err = capsys.readouterr().err
     assert "besov_exact_inequalities" in err
     assert "besov_log_interpolation_ratio" in err
-    assert ("besov_reconstruction" in err) == (nan_field < 10)
+    assert "besov_reconstruction" in err
 
 
 def test_verify_besov_exact_verdict_reads_entry_flags(capsys, monkeypatch):
@@ -151,6 +153,25 @@ def test_verify_besov_exact_verdict_reads_entry_flags(capsys, monkeypatch):
     monkeypatch.setattr(checks.besov_mod, "inequality_suite", suite_with_failing_entry)
     assert run_cli("verify", "--only", "besov") == 1
     assert "failing checks: besov_exact_inequalities\n" in capsys.readouterr().err
+
+
+def test_verify_ch_reduction_fails_on_nan_oracle_sample(capsys, monkeypatch):
+    # one NaN sample in the oracle rate of the 4th of 10 fields: the entry
+    # folds the residuals with np.max, since max() drops a NaN after the first
+    real_rhs = checks.camassa_holm_rhs
+    calls = []
+
+    def rhs_with_nan(u):
+        f = real_rhs(u)
+        if len(calls) == 3:
+            f.values[5] = np.nan
+        calls.append(f)
+        return f
+
+    monkeypatch.setattr(checks, "camassa_holm_rhs", rhs_with_nan)
+    assert run_cli("verify", "--only", "ch_reduction") == 1
+    assert len(calls) == 10
+    assert "failing checks: ch_oracle_agreement\n" in capsys.readouterr().err
 
 
 def _write_config(path, **overrides):
@@ -611,6 +632,10 @@ def _simulate_into_file(tmp_path):
                  id="verify-json-directory"),
     pytest.param(lambda d: ["convergence", "--json", str(d)], "cannot write",
                  id="convergence-json-directory"),
+    # an empty path names no file (it resolves to the working directory)
+    pytest.param(lambda d: ["verify", "--json", ""], "cannot write", id="verify-json-empty"),
+    pytest.param(lambda d: ["convergence", "--json", ""], "cannot write",
+                 id="convergence-json-empty"),
     pytest.param(_simulate_into_file, "cannot create run directory", id="simulate-out-file"),
     # fault injections that inject nothing: an attribute of the coefficient
     # record that is not a coefficient, a coefficient that is 0 at the given A
@@ -625,13 +650,15 @@ def _simulate_into_file(tmp_path):
                    id=f"verify-fault-A0-{name}") for name in ("beta4", "beta6")),
     *(pytest.param(lambda d, suite=suite: ["verify", "--only", suite, "--inject-fault", "beta3"],
                    f"--inject-fault injects nothing into --only {suite}",
-                   id=f"verify-fault-only-{suite}") for suite in ("besov", "helmholtz", "rescale")),
+                   id=f"verify-fault-only-{suite}")
+      for suite in ("besov", "helmholtz", "rescale", "ch_reduction", "breaking")),
 ])
 def test_bad_command_line_input(tmp_path, capsys, monkeypatch, argv, message_part):
     def no_work(*args):
         raise AssertionError("work started despite a bad output path")
 
     monkeypatch.setattr(cli, "integrate", no_work)
+    monkeypatch.setattr(checks, "integrate", no_work)
     monkeypatch.setattr(cli, "temporal_order", no_work)
     monkeypatch.setitem(cli.SUITES, "rescale", no_work)
     monkeypatch.setattr(cli, "identity_suite", no_work)
