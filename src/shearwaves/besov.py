@@ -131,66 +131,51 @@ THETA = 0.5
 SUITE_BATCH = 16
 
 
-def _exact_entry(check: str, params: dict, value: float, bound: float, tol: float) -> dict:
-    """Entry of the exact inequality value <= bound: its excess passes up to
-    tol relative to the bound, and a NaN excess fails."""
-    excess = max(value - bound, 0.0)  # keeps a NaN: 0.0 > NaN is false
-    return {"check": check, "params": params, "defect_or_ratio": excess,
-            "pass": bool(excess <= tol * max(bound, 1e-300))}
-
-
-def inequality_suite(fields, exact_tol: float = 1e-12) -> list:
+def inequality_suite(fields, exact_tol: float = 1e-12) -> tuple:
     """Exact-inequality checks over a sample of fields on one grid.
 
     Per field: (a) summation-index monotonicity (l^r nesting), (b) convexity
     interpolation in the smoothness index, (c) the logarithmic interpolation
-    ratio, recorded and bounded by the constant fitted over the sample's finite
-    ratios (no closed-form constant is available for it).  The block L^p norms
-    fill one (F, Q+2) array, ``SUITE_BATCH`` fields per rfft/irfft pair, so
-    the transient (batch, Q+2, n) blocks stay the same size for any F; each
-    Besov norm is then one reduction over that array.
+    ratio, which has no closed-form constant and is only recorded.  The
+    blocks are built ``SUITE_BATCH`` fields per rfft/irfft pair, so the
+    transient (batch, Q+2, n) blocks stay the same size for any F; each
+    batch gives its block L^p norms and its reconstruction residuals, and
+    each Besov norm is then one reduction over the (F, Q+2) norms.
 
-    Returns a list of dicts {check, params, defect_or_ratio, pass}; a NaN
-    sample makes its field's defects NaN and its entries fail.
+    Returns four arrays, one row per field: ``excess`` (F, 6), how far each
+    value exceeds its bound (the three r-monotonicity pairs, then the three
+    interpolation r values), ``passed`` (F, 6), the excess within
+    ``exact_tol`` relative to its bound, ``log_ratio`` (F,) and
+    ``reconstruction`` (F,), max|sum of blocks - u|.  A NaN sample makes its
+    field's values NaN and its checks fail.
     """
     fields = list(fields)
     if not fields:
-        return []
+        return np.empty((0, 6)), np.empty((0, 6), dtype=bool), np.empty(0), np.empty(0)
     grid = fields[0].grid
     for u in fields:
         if u.grid != grid:
             raise ValueError(f"inequality_suite needs one grid, got {grid} and {u.grid}")
     q, multipliers = _cutoffs(grid)
     norms = np.empty((len(fields), len(q)))
+    reconstruction = np.empty(len(fields))
     for lo in range(0, len(fields), SUITE_BATCH):
-        blocks = _blocks(grid, multipliers, [u.values for u in fields[lo:lo + SUITE_BATCH]])
+        values = np.array([u.values for u in fields[lo:lo + SUITE_BATCH]])
+        blocks = _blocks(grid, multipliers, values)
         norms[lo:lo + SUITE_BATCH] = _lp_norms(blocks, grid.dx, P)
-    s_mid = THETA * S1 + (1.0 - THETA) * S2
-    besov = {(s, r): _besov_from_norms(q, norms, s, r)
-             for s in {S1, S2, s_mid, 1.0 / P, 1.0 + 1.0 / P} for r in (1.0, 2.0, math.inf)}
-    results, ratios = [], []
-    for idx in range(len(fields)):
-        for r1, r2 in ((1.0, 2.0), (2.0, math.inf), (1.0, math.inf)):
-            results.append(_exact_entry(
-                "r_monotonicity", {"field": idx, "s": S1, "p": P, "r1": r1, "r2": r2},
-                besov[S1, r2][idx], besov[S1, r1][idx], exact_tol))
-        for r in (1.0, 2.0, math.inf):
-            bound = besov[S1, r][idx] ** THETA * besov[S2, r][idx] ** (1.0 - THETA)
-            results.append(_exact_entry(
-                "interpolation", {"field": idx, "s1": S1, "s2": S2, "theta": THETA, "p": P, "r": r},
-                besov[s_mid, r][idx], bound, exact_tol))
-
-        low_1, low_inf = besov[1.0 / P, 1.0][idx], besov[1.0 / P, math.inf][idx]
-        high_inf = besov[1.0 + 1.0 / P, math.inf][idx]
-        ratio = 0.0 if low_inf == 0.0 else low_1 / (low_inf * math.log(math.e + high_inf / low_inf))
-        ratios.append((idx, ratio))
-
-    fitted = max((r for _, r in ratios if math.isfinite(r)), default=0.0)
-    for idx, ratio in ratios:
-        results.append({
-            "check": "log_interpolation_ratio",
-            "params": {"field": idx, "p": P, "fitted_constant": fitted},
-            "defect_or_ratio": ratio,
-            "pass": bool(math.isfinite(ratio) and ratio <= fitted),
-        })
-    return results
+        reconstruction[lo:lo + SUITE_BATCH] = np.max(np.abs(blocks.sum(axis=-2) - values), axis=-1)
+    s_mid, rs = THETA * S1 + (1.0 - THETA) * S2, (1.0, 2.0, math.inf)
+    besov = {(s, r): _besov_from_norms(q, norms, s, r) for s in (S1, S2, s_mid) for r in rs}
+    value = np.array([besov[S1, 2.0], besov[S1, math.inf], besov[S1, math.inf]]
+                     + [besov[s_mid, r] for r in rs]).T
+    # x ** THETA per float (libm pow), as in _besov_from_norms
+    bound = np.array([besov[S1, 1.0], besov[S1, 2.0], besov[S1, 1.0]]
+                     + [[x ** THETA * y ** (1.0 - THETA) for x, y in zip(besov[S1, r], besov[S2, r])]
+                        for r in rs]).T
+    excess = np.maximum(value - bound, 0.0)  # keeps a NaN
+    passed = excess <= exact_tol * np.maximum(bound, 1e-300)
+    # the ratio's smoothness indices 1/P and 1 + 1/P are S1 and S2
+    log_ratio = np.array([
+        0.0 if lo_inf == 0.0 else lo_1 / (lo_inf * math.log(math.e + hi_inf / lo_inf))
+        for lo_1, lo_inf, hi_inf in zip(besov[S1, 1.0], besov[S1, math.inf], besov[S2, math.inf])])
+    return excess, passed, log_ratio, reconstruction

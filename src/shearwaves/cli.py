@@ -554,6 +554,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in ("out", "json"):  # an empty path would name the working directory
+            if getattr(args, flag, None) == "":  # coeffs --json is a switch: never ""
+                raise ConfigError(f"cannot write --{flag} '': the path is empty")
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

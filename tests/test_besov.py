@@ -178,38 +178,39 @@ def test_inequality_suite_on_sample(grid):
     for _ in range(100):
         a, b = random_mode_coefficients(rng, 40)
         fields.append(trig_field(grid, a, b, amplitude=1.0))
-    report = inequality_suite(fields)
-    for entry in report:
-        assert entry["pass"], entry
-    ratios = [e["defect_or_ratio"] for e in report if e["check"] == "log_interpolation_ratio"]
-    assert len(ratios) == 100
-    assert all(math.isfinite(r) for r in ratios)
+    excess, passed, log_ratio, reconstruction = inequality_suite(fields)
+    assert excess.shape == passed.shape == (100, 6)
+    assert log_ratio.shape == reconstruction.shape == (100,)
+    assert passed.all()
+    assert np.isfinite(log_ratio).all()
 
 
 def test_inequality_suite_entries_equal_per_entry_besov_norms(grid):
-    # every entry recomputed from a fresh besov_norm(u, s, 2, r) per norm: the
-    # suite's shared block norms must not move a single bit
+    # every entry recomputed from a fresh besov_norm(u, s, 2, r) per norm, and
+    # every reconstruction from a fresh decompose(u): the suite's shared
+    # batched blocks must not move a single bit
     rng = np.random.default_rng(17)
     fields = [trig_field(grid, *random_mode_coefficients(rng, 40), amplitude=1.0)
               for _ in range(100)]
-    report = inequality_suite(fields)
+    excess, passed, log_ratio, reconstruction = inequality_suite(fields)
     expect = []
     ratios = []
-    for idx, u in enumerate(fields):
+    for u in fields:
+        row = []
         for r1, r2 in ((1.0, 2.0), (2.0, math.inf), (1.0, math.inf)):
             n1, n2 = besov_norm(u, 0.5, 2.0, r1), besov_norm(u, 0.5, 2.0, r2)
-            expect.append(("r_monotonicity", idx, max(0.0, n2 - n1)))
+            row.append(max(0.0, n2 - n1))
         for r in (1.0, 2.0, math.inf):
             bound = besov_norm(u, 0.5, 2.0, r) ** 0.5 * besov_norm(u, 1.5, 2.0, r) ** 0.5
-            expect.append(("interpolation", idx, max(0.0, besov_norm(u, 1.0, 2.0, r) - bound)))
+            row.append(max(0.0, besov_norm(u, 1.0, 2.0, r) - bound))
+        expect.append(row)
         low_1, low_inf = besov_norm(u, 0.5, 2.0, 1.0), besov_norm(u, 0.5, 2.0, math.inf)
         high_inf = besov_norm(u, 1.5, 2.0, math.inf)
         ratios.append(low_1 / (low_inf * math.log(math.e + high_inf / low_inf)))
-    expect += [("log_interpolation_ratio", idx, ratio) for idx, ratio in enumerate(ratios)]
-    assert [(e["check"], e["params"]["field"], e["defect_or_ratio"]) for e in report] == expect
-    fitted = {e["params"]["fitted_constant"] for e in report
-              if e["check"] == "log_interpolation_ratio"}
-    assert fitted == {max(ratios)}
+    assert excess.tolist() == expect
+    assert log_ratio.tolist() == ratios
+    assert reconstruction.tolist() == [decompose(u).reconstruction_residual() for u in fields]
+    assert passed.all()
 
 
 def test_inequality_suite_memory_is_bounded_by_its_batch(grid):
@@ -230,8 +231,10 @@ def test_inequality_suite_memory_is_bounded_by_its_batch(grid):
 
 
 def test_inequality_suite_zero_field_vacuous(grid):
-    report = inequality_suite([Field(grid, np.zeros(grid.n))])
-    assert all(entry["pass"] for entry in report)
+    excess, passed, log_ratio, reconstruction = inequality_suite([Field(grid, np.zeros(grid.n))])
+    assert passed.all()
+    assert excess.tolist() == [[0.0] * 6]
+    assert log_ratio.tolist() == reconstruction.tolist() == [0.0]
 
 
 def test_inequality_suite_entries_equal_per_entry_besov_norms_coarse_grid():
@@ -243,26 +246,26 @@ def test_inequality_suite_entries_equal_per_entry_besov_norms_coarse_grid():
     fields = [trig_field(grid, *random_mode_coefficients(rng, 20), amplitude=1.0)
               for _ in range(30)]
     fields.insert(4, Field(grid, np.zeros(grid.n)))
-    report = inequality_suite(fields)
+    excess, passed, log_ratio, reconstruction = inequality_suite(fields)
     expect = []
     ratios = []
-    for idx, u in enumerate(fields):
+    for u in fields:
         norm = {(s, r): besov_norm(u, s, 2.0, r)
                 for s in (0.5, 1.0, 1.5) for r in (1.0, 2.0, math.inf)}
-        for r1, r2 in ((1.0, 2.0), (2.0, math.inf), (1.0, math.inf)):
-            expect.append(("r_monotonicity", idx, max(0.0, norm[0.5, r2] - norm[0.5, r1])))
+        row = [max(0.0, norm[0.5, r2] - norm[0.5, r1])
+               for r1, r2 in ((1.0, 2.0), (2.0, math.inf), (1.0, math.inf))]
         for r in (1.0, 2.0, math.inf):
             bound = norm[0.5, r] ** 0.5 * norm[1.5, r] ** 0.5
-            expect.append(("interpolation", idx, max(0.0, norm[1.0, r] - bound)))
+            row.append(max(0.0, norm[1.0, r] - bound))
+        expect.append(row)
         low_1, low_inf, high_inf = norm[0.5, 1.0], norm[0.5, math.inf], norm[1.5, math.inf]
         ratios.append(0.0 if low_inf == 0.0 else
                       low_1 / (low_inf * math.log(math.e + high_inf / low_inf)))
-    expect += [("log_interpolation_ratio", idx, ratio) for idx, ratio in enumerate(ratios)]
-    assert [(e["check"], e["params"]["field"], e["defect_or_ratio"]) for e in report] == expect
-    assert all(e["pass"] for e in report)
+    assert excess.tolist() == expect
+    assert log_ratio.tolist() == ratios
+    assert reconstruction.tolist() == [decompose(u).reconstruction_residual() for u in fields]
+    assert passed.all()
     assert ratios[4] == 0.0
-    assert {e["params"]["fitted_constant"] for e in report
-            if e["check"] == "log_interpolation_ratio"} == {max(ratios)}
 
 
 def test_inequality_suite_nan_sample_fails_its_field_only(grid):
@@ -270,29 +273,24 @@ def test_inequality_suite_nan_sample_fails_its_field_only(grid):
     fields = [trig_field(grid, *random_mode_coefficients(rng, 40), amplitude=1.0)
               for _ in range(6)]
     clean = inequality_suite(fields)
-    # first, so that a plain max() over the ratios would return the NaN
     values = fields[0].values.copy()
     values[17] = np.nan
     fields[0] = Field(grid, values)
     report = inequality_suite(fields)
-    assert len(report) == len(clean) == 7 * 6
-    for entry, before in zip(report, clean):
-        if entry["params"]["field"] == 0:
-            assert math.isnan(entry["defect_or_ratio"]), entry
-            assert not entry["pass"], entry
-        else:
-            assert entry["pass"], entry
-            assert entry["defect_or_ratio"] == before["defect_or_ratio"]
-    # the fitted constant comes from the finite ratios alone
-    fitted = {e["params"]["fitted_constant"] for e in report
-              if e["check"] == "log_interpolation_ratio"}
-    assert fitted == {max(e["defect_or_ratio"] for e in clean
-                          if e["check"] == "log_interpolation_ratio"
-                          and e["params"]["field"] != 0)}
+    excess, passed, log_ratio, reconstruction = report
+    assert np.isnan(excess[0]).all() and not passed[0].any()
+    assert math.isnan(log_ratio[0]) and math.isnan(reconstruction[0])
+    assert passed[1:].all()
+    # the other fields' rows are bit for bit those of the clean sample
+    for after, before in zip(report, clean):
+        assert after.shape == before.shape
+        assert after[1:].tobytes() == before[1:].tobytes()
 
 
 def test_inequality_suite_empty_sample(grid):
-    assert inequality_suite([]) == []
+    excess, passed, log_ratio, reconstruction = inequality_suite([])
+    assert excess.shape == passed.shape == (0, 6)
+    assert log_ratio.shape == reconstruction.shape == (0,)
 
 
 def test_inequality_suite_rejects_mixed_grids(grid):

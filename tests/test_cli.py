@@ -146,13 +146,29 @@ def test_verify_besov_exact_verdict_reads_entry_flags(capsys, monkeypatch):
     real_suite = checks.besov_mod.inequality_suite
 
     def suite_with_failing_entry(fields):
-        report = real_suite(fields)
-        report[3]["pass"] = False
-        return report
+        excess, passed, log_ratio, reconstruction = real_suite(fields)
+        passed[0, 3] = False
+        return excess, passed, log_ratio, reconstruction
 
     monkeypatch.setattr(checks.besov_mod, "inequality_suite", suite_with_failing_entry)
     assert run_cli("verify", "--only", "besov") == 1
     assert "failing checks: besov_exact_inequalities\n" in capsys.readouterr().err
+
+
+def test_verify_besov_reuses_the_suite_blocks(capsys, monkeypatch):
+    # the reconstruction residual comes from inequality_suite's batched
+    # blocks: no field is decomposed a second time
+    calls = []
+    real_decompose = checks.besov_mod.decompose
+
+    def counting_decompose(u):
+        calls.append(u)
+        return real_decompose(u)
+
+    monkeypatch.setattr(checks.besov_mod, "decompose", counting_decompose)
+    assert run_cli("verify", "--only", "besov") == 0
+    assert "besov_reconstruction" in capsys.readouterr().out
+    assert calls == []
 
 
 def test_verify_ch_reduction_fails_on_nan_oracle_sample(capsys, monkeypatch):
@@ -285,10 +301,7 @@ def test_simulate_deterministic_bytes(tmp_path):
 
 def test_simulate_explicit_coefficients(tmp_path):
     cfg_path = tmp_path / "explicit.json"
-    coeffs = {"alpha1": 0.0, "alpha2": 1.0, "alpha3": 0.0, "beta1": 0.0,
-              "beta2": -1.0, "beta3": 0.0, "beta4": 0.0, "beta5": 0.0,
-              "beta6": 0.0, "beta7": -0.5, "beta8": 0.0, "gamma": 0.0}
-    _write_config(cfg_path, coefficients=coeffs)
+    _write_config(cfg_path, coefficients=checks.CAMASSA_HOLM.to_dict())
     cfg = json.loads(cfg_path.read_text())
     del cfg["vorticity"]
     cfg_path.write_text(json.dumps(cfg))
@@ -329,17 +342,12 @@ def _outdir(tmp_path):
     return tmp_path / "out"
 
 
-CAMASSA_HOLM = {"alpha1": 0.0, "alpha2": 1.0, "alpha3": 0.0, "beta1": 0.0, "beta2": -1.0,
-                "beta3": 0.0, "beta4": 0.0, "beta5": 0.0, "beta6": 0.0, "beta7": -0.5,
-                "beta8": 0.0, "gamma": 0.0}
-
-
 @pytest.fixture(scope="module")
 def dense_run():
     """The criterion-8 Camassa-Holm breaking run at n = 1024 with a snapshot
     every step: 192 records."""
     cfg = {"schema_version": 1, "n": 1024, "length": 40.0, "t_end": 14.0, "cfl": 0.3,
-           "snapshot_stride": 1, "coefficients": CAMASSA_HOLM, "initial": "sine",
+           "snapshot_stride": 1, "coefficients": checks.CAMASSA_HOLM.to_dict(), "initial": "sine",
            "amplitude": -1.5, "breaking_stop": -12.0 * 1.5 * 2 * math.pi / 40.0}
     return (cfg, *_run(cfg))
 
@@ -348,7 +356,7 @@ def test_simulate_reports_the_stop_at_the_crossing(tmp_path):
     # the crossing of breaking_stop, interpolated between the last two accepted
     # steps, is the same at every stride and lies within the last step
     cfg = {"schema_version": 1, "n": 256, "length": 40.0, "t_end": 14.0, "cfl": 0.3,
-           "coefficients": CAMASSA_HOLM, "initial": "sine", "amplitude": -1.5,
+           "coefficients": checks.CAMASSA_HOLM.to_dict(), "initial": "sine", "amplitude": -1.5,
            "breaking_stop": -6.0 * 1.5 * 2 * math.pi / 40.0}
     manifests = []
     for stride in (1, 7, 100):
@@ -589,11 +597,15 @@ def test_simulate_in_range_runs_quietly(tmp_path, capsys, recwarn, overrides):
     assert [str(w.message) for w in recwarn] == []
 
 
-def _simulate_into_file(tmp_path):
+def _simulate_argv(tmp_path, out):
     cfg_path = tmp_path / "run.json"
     _write_config(cfg_path)
+    return ["simulate", str(cfg_path), "--out", out]
+
+
+def _simulate_into_file(tmp_path):
     (tmp_path / "taken").write_text("keep")
-    return ["simulate", str(cfg_path), "--out", str(tmp_path / "taken")]
+    return _simulate_argv(tmp_path, str(tmp_path / "taken"))
 
 
 @pytest.mark.parametrize("argv, message_part", [
@@ -633,9 +645,12 @@ def _simulate_into_file(tmp_path):
     pytest.param(lambda d: ["convergence", "--json", str(d)], "cannot write",
                  id="convergence-json-directory"),
     # an empty path names no file (it resolves to the working directory)
-    pytest.param(lambda d: ["verify", "--json", ""], "cannot write", id="verify-json-empty"),
-    pytest.param(lambda d: ["convergence", "--json", ""], "cannot write",
-                 id="convergence-json-empty"),
+    pytest.param(lambda d: ["verify", "--json", ""], "cannot write --json '': the path is empty",
+                 id="verify-json-empty"),
+    pytest.param(lambda d: ["convergence", "--json", ""],
+                 "cannot write --json '': the path is empty", id="convergence-json-empty"),
+    pytest.param(lambda d: _simulate_argv(d, ""), "cannot write --out '': the path is empty",
+                 id="simulate-out-empty"),
     pytest.param(_simulate_into_file, "cannot create run directory", id="simulate-out-file"),
     # fault injections that inject nothing: an attribute of the coefficient
     # record that is not a coefficient, a coefficient that is 0 at the given A
@@ -662,8 +677,12 @@ def test_bad_command_line_input(tmp_path, capsys, monkeypatch, argv, message_par
     monkeypatch.setattr(cli, "temporal_order", no_work)
     monkeypatch.setitem(cli.SUITES, "rescale", no_work)
     monkeypatch.setattr(cli, "identity_suite", no_work)
-    assert run_cli(*argv(tmp_path)) == 2
+    argv = argv(tmp_path)
+    monkeypatch.chdir(tmp_path)  # where an empty output path would write
+    before = sorted(tmp_path.iterdir())
+    assert run_cli(*argv) == 2
     assert message_part in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
     if (tmp_path / "taken").exists():
         assert (tmp_path / "taken").read_text() == "keep"
     assert not (tmp_path / "x.csv").exists()

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from shearwaves.checks import CAMASSA_HOLM
 from shearwaves.coeffs import GeneralCoefficients, model_coefficients, normalize, perturbed
 from shearwaves.forms import (
     ProfileSum,
@@ -30,9 +31,8 @@ from shearwaves.spectral import (
     trig_field,
 )
 
-CH = GeneralCoefficients(alpha1=0.3, alpha2=1.0, alpha3=0.0, beta1=0.0, beta2=-1.0,
-                         beta3=0.0, beta4=0.0, beta5=0.0, beta6=0.0, beta7=-0.5,
-                         beta8=0.0, gamma=0.0)
+# Camassa-Holm with a drift: the oracle's camassa_holm_rhs(u, drift=0.3)
+CH = dataclasses.replace(CAMASSA_HOLM, alpha1=0.3)
 
 
 @pytest.fixture

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from shearwaves import solver
-from shearwaves.checks import mms_solution
-from shearwaves.coeffs import GeneralCoefficients, model_coefficients, normalize
+from shearwaves.checks import CAMASSA_HOLM as CH, mms_solution
+from shearwaves.coeffs import model_coefficients, normalize
 from shearwaves.forms import rate_hat
 from shearwaves.solver import (
     DIAGNOSTICS_HEADER,
@@ -31,10 +31,6 @@ from shearwaves.spectral import (
     sobolev_norm,
     trig_field,
 )
-
-CH = GeneralCoefficients(alpha1=0.0, alpha2=1.0, alpha3=0.0, beta1=0.0, beta2=-1.0,
-                         beta3=0.0, beta4=0.0, beta5=0.0, beta6=0.0, beta7=-0.5,
-                         beta8=0.0, gamma=0.0)
 
 
 def hand_steps(plan, u, dt, nsteps, t=0.0):
