@@ -95,10 +95,10 @@ def _blocks(grid, multipliers, values) -> np.ndarray:
 
 
 def decompose(u: Field) -> DyadicBlocks:
-    """Split u into its low block and dyadic annulus blocks covering the
-    resolved band."""
+    """Split one field u into its low block and dyadic annulus blocks
+    covering the resolved band; a stack raises ValueError."""
     q_values, multipliers = _cutoffs(u.grid)
-    return DyadicBlocks(field=u, blocks=_blocks(u.grid, multipliers, u.values),
+    return DyadicBlocks(field=u, blocks=_blocks(u.grid, multipliers, u.single_values("decompose")),
                         q_values=q_values, multipliers=multipliers)
 
 
@@ -117,7 +117,7 @@ def _besov_from_norms(q_values, norms, s: float, r: float) -> list:
 
 
 def besov_norm(u: Field, s: float, p: float, r: float) -> float:
-    """Besov norm: the l^r norm over q of 2^(qs) * ||Delta_q u||_{L^p}."""
+    """Besov norm of one field: the l^r norm over q of 2^(qs) * ||Delta_q u||_{L^p}."""
     return besov_norm_from_blocks(decompose(u), s, p, r)
 
 
@@ -127,12 +127,13 @@ P = 2.0
 S1 = 0.5
 S2 = 1.5
 THETA = 0.5
-# fields per transform pair in ``inequality_suite``: bounds its transient blocks
+# fields per transform pair in ``inequality_suite``, which bounds its transient
+# blocks, and per stack of the random fields of ``verify``'s sample-based suites
 SUITE_BATCH = 16
 
 
 def inequality_suite(fields, exact_tol: float = 1e-12) -> tuple:
-    """Exact-inequality checks over a sample of fields on one grid.
+    """Exact-inequality checks over a sample of single fields on one grid.
 
     Per field: (a) summation-index monotonicity (l^r nesting), (b) convexity
     interpolation in the smoothness index, (c) the logarithmic interpolation
@@ -154,6 +155,7 @@ def inequality_suite(fields, exact_tol: float = 1e-12) -> tuple:
         return np.empty((0, 6)), np.empty((0, 6), dtype=bool), np.empty(0), np.empty(0)
     grid = fields[0].grid
     for u in fields:
+        u.single_values("inequality_suite")
         if u.grid != grid:
             raise ValueError(f"inequality_suite needs one grid, got {grid} and {u.grid}")
     q, multipliers = _cutoffs(grid)

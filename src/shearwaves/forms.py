@@ -54,19 +54,22 @@ class ScaleParams:
 
 
 class RateWorkspace:
-    """Buffers that ``rate_hat`` writes into: the (2, bins) complex pair
-    (u_hat, ik u_hat), the (2, n) samples (u, u_x) of the last input, the
-    (3, n) advection/flux/cubic products and two n-length real scratch
-    arrays, for input spectra of ``bins`` bins."""
+    """Buffers that ``rate_hat`` writes into, for inputs of ``bins`` bins
+    whose samples have ``shape``: n for one field, (F, n) for a stack of F.
+    With S that shape: the complex pair (u_hat, ik u_hat) of shape (2, *S)
+    with ``bins`` in place of n, the samples (u, u_x) of the last input,
+    (2, *S), the advection/flux/cubic products, (3, *S), and two real
+    scratch arrays of shape S."""
 
     __slots__ = ("pair", "values", "products", "slope2", "scratch")
 
-    def __init__(self, n: int, bins: int):
-        self.pair = np.empty((2, bins), dtype=complex)
-        self.values = np.empty((2, n))
-        self.products = np.empty((3, n))
-        self.slope2 = np.empty(n)
-        self.scratch = np.empty(n)
+    def __init__(self, shape, bins: int):
+        shape = tuple(np.atleast_1d(shape))
+        self.pair = np.empty((2, *shape[:-1], bins), dtype=complex)
+        self.values = np.empty((2, *shape))
+        self.products = np.empty((3, *shape))
+        self.slope2 = np.empty(shape)
+        self.scratch = np.empty(shape)
 
 
 def rate_hat(u_hat: np.ndarray, grid: Grid, g: GeneralCoefficients, m: int,
@@ -76,18 +79,20 @@ def rate_hat(u_hat: np.ndarray, grid: Grid, g: GeneralCoefficients, m: int,
     du/dt = -(a1 + a2 u + a3 u^2) u_x
             + (1-dxx)^-1 [ d/dx(sum_i b_i u^i + b7 u_x^2 + b8 u u_x^2) + gamma u_x^3 ]
 
-    ``u_hat`` holds the first len(u_hat) <= n/2+1 rfft bins of u; the bins
-    above are zero.  u and u_x come back to sample space in one batched
+    ``u_hat`` holds the first bins <= n/2+1 rfft bins of u, shape (bins,), or
+    of each of F fields, shape (F, bins); the bins above are zero.  Every
+    step works row by row, so a row's rate is bit for bit the rate of that
+    field alone.  u and u_x come back to sample space in one batched
     irfft, the advection, flux and cubic products are formed there and
     transformed in one batched rfft, and only the first ``m`` bins (the
     retained band of a dealias policy) are combined with the grid's
     multipliers: two transform calls per evaluation.  A term whose
     coefficient is 0 is skipped, exact for finite data (x + 0 = x); with
     gamma = 0 (Camassa-Holm) the rfft takes two product rows, not three.
-    Returns a fresh array of length m; every elementwise step in sample
-    space writes into the caller's ``work``, sized for len(u_hat) bins, and
-    ``work.values`` keeps the samples (u, u_x) of ``u_hat`` until the next
-    call.
+    Returns a fresh array of shape (..., m); every elementwise step in
+    sample space writes into the caller's ``work``, sized for the shape of
+    ``u_hat``, and ``work.values`` keeps the samples (u, u_x) of ``u_hat``
+    until the next call.
     """
     n = grid.n
     pair, products, slope2, tmp = work.pair, work.products, work.slope2, work.scratch
@@ -127,7 +132,7 @@ def rate_hat(u_hat: np.ndarray, grid: Grid, g: GeneralCoefficients, m: int,
     if g.gamma:
         np.multiply(g.gamma, slope2, out=cubic)
         cubic *= vx
-    hats = np.fft.rfft(products if g.gamma else products[:2])[:, :m]
+    hats = np.fft.rfft(products if g.gamma else products[:2])[..., :m]
     rate = hats[0] + grid.mult_helmholtz_dx[:m] * hats[1]
     if g.gamma:
         np.multiply(grid.mult_helmholtz[:m], hats[2], out=hats[2])  # in place: a step's peak memory
@@ -136,11 +141,13 @@ def rate_hat(u_hat: np.ndarray, grid: Grid, g: GeneralCoefficients, m: int,
 
 
 def rhs_nonlocal(u: Field, g: GeneralCoefficients, dealias_policy: str | None = None) -> Field:
-    """du/dt of the nonlocal Cauchy problem in sample space: ``rate_hat``
-    between one rfft and one irfft, four transform calls per evaluation.
-    The rate keeps only the retained band of the dealias policy."""
+    """du/dt of the nonlocal Cauchy problem in sample space, of one field or
+    of each row of a stack: ``rate_hat`` between one rfft and one irfft,
+    four transform calls per evaluation.  The rate keeps only the retained
+    band of the dealias policy."""
     grid, m = u.grid, u.grid.retained_bins(dealias_policy)
-    rate = rate_hat(np.fft.rfft(u.values), grid, g, m, RateWorkspace(grid.n, grid.n // 2 + 1))
+    work = RateWorkspace(u.values.shape, grid.n // 2 + 1)
+    rate = rate_hat(np.fft.rfft(u.values), grid, g, m, work)
     return Field(grid, np.fft.irfft(rate, grid.n))
 
 
@@ -206,7 +213,8 @@ def velocity_rate_from_rescaled_form(u: Field, m: ModelCoefficients) -> Field:
 def verify_form_equivalence(u: Field, m: ModelCoefficients,
                             g: GeneralCoefficients | None = None) -> float:
     """L-inf difference between u_t from the rescaled form and u_t from the
-    nonlocal right-hand side with the normalized coefficient set.
+    nonlocal right-hand side with the normalized coefficient set; for a
+    stack, the largest over its rows.
 
     Passing an explicit ``g`` replaces the normalized set on the nonlocal
     route only (used for fault injection by the verification CLI)."""

@@ -6,7 +6,9 @@ kernel, with the integrand's band-limited interpolant summed directly by
 Horner's rule at the quadrature nodes; derivatives by high-order finite
 differences; and the classical quadratic-flux right-hand side is coded
 directly from its textbook form.  The 8-point Gauss-Legendre rule is a
-table of numpy's ``leggauss(8)``, so no oracle calls LAPACK.
+table of numpy's ``leggauss(8)``, so no oracle calls LAPACK.  Every
+oracle reads one field: a stack of fields raises ValueError, and a caller
+checks a stack one row at a time.
 """
 from __future__ import annotations
 
@@ -42,7 +44,7 @@ def trig_eval(f: Field, points) -> np.ndarray:
     then n/2 in-place multiply-adds.
     """
     grid = f.grid
-    hat = np.fft.fft(f.values) / grid.n
+    hat = np.fft.fft(f.single_values("trig_eval")) / grid.n
     ny = grid.n // 2
     coef = 2.0 * hat[:ny + 1]
     coef[0] = hat[0]
@@ -77,6 +79,7 @@ def helmholtz_inverse_quadrature(f: Field) -> np.ndarray:
     the accuracy floor of the nearest-image approximation.
     """
     grid = f.grid
+    f.single_values("helmholtz_inverse_quadrature")
     # map to panels [x_m, x_m + dx]
     starts = grid.x
     half = 0.5 * grid.dx
@@ -94,7 +97,10 @@ _FD6 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
 
 
 def fd_derivative6(values: np.ndarray, dx: float) -> np.ndarray:
-    """Periodic 6th-order centred finite-difference first derivative."""
+    """Periodic 6th-order centred finite-difference first derivative of
+    the samples of one field."""
+    if np.ndim(values) != 1:
+        raise ValueError(f"fd_derivative6 takes one field, got values of shape {np.shape(values)}")
     out = np.zeros_like(values)
     for offset, coeff in zip(range(-3, 4), _FD6):
         if coeff != 0.0:
@@ -113,8 +119,9 @@ def camassa_holm_rhs(u: Field, drift: float = 0.0) -> Field:
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.length / n)
     ik = 1j * k
     ik[n // 2] = 0.0
-    uhat = np.fft.fft(u.values)
+    values = u.single_values("camassa_holm_rhs")
+    uhat = np.fft.fft(values)
     ux = np.fft.ifft(ik * uhat).real
-    flux = u.values**2 + 0.5 * ux**2
+    flux = values**2 + 0.5 * ux**2
     smooth_dx = np.fft.ifft(ik / (1.0 + k**2) * np.fft.fft(flux)).real
-    return Field(grid, -(drift + u.values) * ux - smooth_dx)
+    return Field(grid, -(drift + values) * ux - smooth_dx)

@@ -292,7 +292,7 @@ def integrate(cfg: SimConfig, u0: Field) -> Trajectory:
         raise ValueError("initial data grid does not match the configured grid")
     g, grid = cfg.coefficients, cfg.grid
     plan = LawsonRK4(grid, g, cfg.dealias_policy, cfg.forcing)
-    w = np.fft.rfft(u0.values)[:plan.m]
+    w = np.fft.rfft(u0.single_values("integrate"))[:plan.m]
     plan.k1 = plan.rate(w, 0.0)
     values, slopes = plan.work.values
     t, tiny, cap = 0.0, 1e-12 * cfg.t_end, math.inf

@@ -2,7 +2,10 @@
 
 The operators apply half-spectrum (``rfft``) multipliers cached on ``Grid``,
 built on ``Grid.k``, the ``rfft`` wavenumbers 0..k_max; ``dealias`` keeps the
-leading bins a policy retains.  A Field holds only its grid and its values.
+leading bins a policy retains.  A Field holds only its grid and its values:
+one field of shape (n,) or a stack of F fields of shape (F, n), which the
+multiplier operators transform row by row (pocketfft transforms each row on
+its own, so a row's bits do not depend on the stack).
 """
 from __future__ import annotations
 
@@ -77,16 +80,25 @@ class Grid:
 
 
 class Field:
-    """Real function sampled on a Grid."""
+    """Real function sampled on a Grid: values of shape (n,), or a stack of F
+    such functions, values of shape (F, n) with one field per row."""
 
     __slots__ = ("grid", "values")
 
     def __init__(self, grid: Grid, values):
         values = np.asarray(values, dtype=float)
-        if values.shape != (grid.n,):
-            raise ValueError(f"expected {grid.n} samples, got shape {values.shape}")
+        if values.ndim not in (1, 2) or values.shape[-1] != grid.n:
+            raise ValueError(f"expected {grid.n} samples or a stack of rows of {grid.n}, "
+                             f"got shape {values.shape}")
         self.grid = grid
         self.values = values
+
+    def single_values(self, reader: str) -> np.ndarray:
+        """The (n,) samples of one field; a stack raises ValueError, as
+        ``reader`` reads one field only."""
+        if self.values.ndim != 1:
+            raise ValueError(f"{reader} takes one field, got values of shape {self.values.shape}")
+        return self.values
 
     def __sub__(self, other):
         if isinstance(other, Field):
@@ -123,10 +135,12 @@ def dealias(f: Field, policy: str | None = "two_thirds") -> Field:
     """Truncate the half-spectrum to the bins the policy retains (|k| up to
     the policy fraction of the Nyquist wavenumber); None keeps every mode."""
     grid = f.grid
-    return Field(grid, np.fft.irfft(np.fft.rfft(f.values)[:grid.retained_bins(policy)], grid.n))
+    m = grid.retained_bins(policy)
+    return Field(grid, np.fft.irfft(np.fft.rfft(f.values)[..., :m], grid.n))
 
 
 def sup_norm(f: Field) -> float:
+    """max |u| over the samples; over every row of a stack."""
     return float(np.max(np.abs(f.values)))
 
 
@@ -145,33 +159,41 @@ def sobolev_norm(grid: Grid, u_hat: np.ndarray, s: float) -> float:
     return float(np.sqrt(grid.length * (2.0 * np.sum(power) - power[0] - nyquist)))
 
 
-def random_mode_coefficients(rng, max_mode: int, decay: float = 0.3):
+def random_mode_coefficients(rng, max_mode: int, decay: float = 0.3, fields: int | None = None):
     """Random cosine/sine coefficients for modes 1..max_mode with geometric
-    taper; deterministic for a seeded generator."""
+    taper; deterministic for a seeded generator.  With ``fields`` = F both
+    arrays have shape (F, max_mode), F fields from one (F, 2, max_mode) draw:
+    the generator fills it in the order of F calls without ``fields``, so
+    row i equals the i-th of those calls bit for bit."""
     j = np.arange(1, max_mode + 1)
     taper = np.exp(-decay * (j - 1))
-    return rng.standard_normal(max_mode) * taper, rng.standard_normal(max_mode) * taper
+    draw = rng.standard_normal((2, max_mode) if fields is None else (fields, 2, max_mode)) * taper
+    return draw[..., 0, :], draw[..., 1, :]
 
 
 def trig_field(grid: Grid, cos_coeffs, sin_coeffs, amplitude: float | None = None) -> Field:
     """Band-limited field sum_j a_j cos(k_j x) + b_j sin(k_j x), j = 1..m, from
     grid-independent coefficients: one ``irfft`` of the half-spectrum holding
-    (a_j - i b_j) n/2 in bins 1..m.  Both arrays must have the same length
-    m < n/2.  When ``amplitude`` is given, coefficients are rescaled so
-    sum |a_j| + |b_j| = amplitude, bounding the sup norm by it."""
+    (a_j - i b_j) n/2 in bins 1..m.  Both arrays must have the same shape,
+    (m,) for one field or (F, m) for a stack of F, with m < n/2.  When
+    ``amplitude`` is given, each field's coefficients are rescaled so
+    sum |a_j| + |b_j| = amplitude, bounding its sup norm by it."""
     a = np.asarray(cos_coeffs, dtype=float)
     b = np.asarray(sin_coeffs, dtype=float)
-    if a.size != b.size:
-        raise ValueError(f"{a.size} cos but {b.size} sin coefficients; the counts must match")
-    if a.size >= grid.n // 2:
+    if a.shape != b.shape:
+        raise ValueError(f"{a.size} cos but {b.size} sin coefficients (shapes {a.shape} and "
+                         f"{b.shape}); the shapes must match")
+    if a.ndim not in (1, 2):
+        raise ValueError(f"coefficients must have shape (m,) or (F, m), got {a.shape}")
+    if a.shape[-1] >= grid.n // 2:
         raise ValueError("mode content exceeds the grid band")
     if amplitude is not None:
-        total = np.sum(np.abs(a)) + np.sum(np.abs(b))
-        if total > 0:
-            scale = amplitude / total
-            a, b = a * scale, b * scale
-    half = np.zeros(grid.n // 2 + 1, dtype=complex)
-    half[1:a.size + 1] = (a - 1j * b) * (grid.n / 2)
+        total = (np.sum(np.abs(a), axis=-1, keepdims=True)
+                 + np.sum(np.abs(b), axis=-1, keepdims=True))
+        scale = np.divide(amplitude, total, out=np.ones_like(total), where=total > 0)
+        a, b = a * scale, b * scale
+    half = np.zeros((*a.shape[:-1], grid.n // 2 + 1), dtype=complex)
+    half[..., 1:a.shape[-1] + 1] = (a - 1j * b) * (grid.n / 2)
     return Field(grid, np.fft.irfft(half, grid.n))
 
 
@@ -181,10 +203,12 @@ def csv_text(f: Field) -> str:
     One ``%`` format of the grid's cached ``csv_template``; the text equals a
     per-row ``f"{x:.17g},{u:.17g}\\n"`` under an ``x,u`` header.
     """
-    return f.grid.csv_template % tuple(f.values.tolist())
+    return f.grid.csv_template % tuple(f.single_values("csv_text").tolist())
 
 
 def field_to_csv(f: Field, path) -> None:
-    """Write ``csv_text(f)`` to ``path`` in one write."""
+    """Write ``csv_text(f)`` to ``path`` in one write; a stack raises
+    ValueError before the file is opened."""
+    text = csv_text(f)
     with open(path, "w") as fh:
-        fh.write(csv_text(f))
+        fh.write(text)

@@ -119,20 +119,32 @@ def test_form_equivalence_faults_fail_both_entries(a, fault):
     assert not any(e["pass"] for e in entries), entries
 
 
-@pytest.mark.parametrize("nan_field", [4, 37])
-def test_verify_besov_fails_on_nan_field(capsys, monkeypatch, nan_field):
-    # one NaN sample in one of the suite's random fields fails all three checks
-    real_trig_field = checks.trig_field
+def test_verify_form_equivalence_checks_its_fields_in_stacks(monkeypatch):
+    # 50 fields in 16-field stacks and the refinement pair: 6 calls, not 52
+    real = checks.verify_form_equivalence
     calls = []
 
-    def trig_field_with_nan(*args, **kwargs):
-        f = real_trig_field(*args, **kwargs)
-        if len(calls) == nan_field:
-            f.values[5] = np.nan
-        calls.append(f)
-        return f
+    def counted(u, *args):
+        calls.append(u.values.shape)
+        return real(u, *args)
 
-    monkeypatch.setattr(checks, "trig_field", trig_field_with_nan)
+    monkeypatch.setattr(checks, "verify_form_equivalence", counted)
+    assert run_cli("verify", "--only", "form_equivalence") == 0
+    assert calls == [(16, 256)] * 3 + [(2, 256), (64,), (256,)]
+
+
+@pytest.mark.parametrize("nan_field", [4, 37])
+def test_verify_besov_fails_on_nan_field(capsys, monkeypatch, nan_field):
+    # one NaN sample in one of the suite's random fields fails all three checks;
+    # rows 4 and 37 lie in the first and the third 16-field stack
+    real_suite = checks.besov_mod.inequality_suite
+
+    def suite_with_nan(fields):
+        assert len(fields) == checks.BESOV_SAMPLES
+        fields[nan_field].values[5] = np.nan
+        return real_suite(fields)
+
+    monkeypatch.setattr(checks.besov_mod, "inequality_suite", suite_with_nan)
     assert run_cli("verify", "--only", "besov") == 1
     err = capsys.readouterr().err
     assert "besov_exact_inequalities" in err
@@ -184,9 +196,19 @@ def test_verify_ch_reduction_fails_on_nan_oracle_sample(capsys, monkeypatch):
         calls.append(f)
         return f
 
+    # the 10 nonlocal rates come from one rhs_nonlocal call on a stack; the
+    # oracle reads one field per call
+    real_nonlocal = checks.rhs_nonlocal
+    stacks = []
+
+    def counted_nonlocal(u, g):
+        stacks.append(u.values.shape)
+        return real_nonlocal(u, g)
+
     monkeypatch.setattr(checks, "camassa_holm_rhs", rhs_with_nan)
+    monkeypatch.setattr(checks, "rhs_nonlocal", counted_nonlocal)
     assert run_cli("verify", "--only", "ch_reduction") == 1
-    assert len(calls) == 10
+    assert len(calls) == 10 and stacks == [(10, 256)]
     assert "failing checks: ch_oracle_agreement\n" in capsys.readouterr().err
 
 

@@ -2,10 +2,12 @@
 and rescaling checks."""
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from shearwaves import checks
 from shearwaves.checks import CAMASSA_HOLM
 from shearwaves.coeffs import GeneralCoefficients, model_coefficients, normalize, perturbed
 from shearwaves.forms import (
@@ -124,6 +126,39 @@ def test_rate_hat_workspace_is_bitwise_neutral(grid, policy):
         reused = rate_hat(u_hat, grid, g, m, work=work)
         assert fresh.shape == (m,)
         assert np.array_equal(fresh, reused)
+
+
+@pytest.mark.parametrize("fields", [1, 3, 16])
+@pytest.mark.parametrize("policy", [None, "two_thirds", "strong"])
+@pytest.mark.parametrize("coefficients", ["random", "camassa_holm"])
+def test_rate_hat_on_a_stack_equals_per_row_bitwise(grid, policy, fields, coefficients):
+    # every nonzero term, and Camassa-Holm's skipped terms and two-row rfft
+    rng = np.random.default_rng(22)
+    names = [f.name for f in dataclasses.fields(GeneralCoefficients)]
+    g = (GeneralCoefficients(**dict(zip(names, rng.uniform(-1.0, 1.0, 12))))
+         if coefficients == "random" else CAMASSA_HOLM)
+    m = grid.retained_bins(policy)
+    a, b = random_mode_coefficients(rng, 16, fields=fields)
+    u_hat = np.fft.rfft(trig_field(grid, a, b, amplitude=0.6).values)[:, :m]
+    work = RateWorkspace((fields, grid.n), m)
+    got = rate_hat(u_hat, grid, g, m, work)
+    assert got.shape == (fields, m)
+    for i, row in enumerate(u_hat):
+        one = RateWorkspace(grid.n, m)
+        assert np.array_equal(got[i], rate_hat(row, grid, g, m, one))
+        assert np.array_equal(work.values[:, i], one.values)  # the samples (u, u_x) of the row
+
+
+@pytest.mark.parametrize("fields", [1, 3, 16])
+def test_rhs_nonlocal_on_a_stack_equals_per_row_bitwise(grid, fields):
+    g = normalize(model_coefficients(1.5))
+    a, b = random_mode_coefficients(np.random.default_rng(23), 10, fields=fields)
+    stack = trig_field(grid, a, b, amplitude=0.8)
+    for policy in (None, "two_thirds"):
+        got = rhs_nonlocal(stack, g, policy).values
+        assert got.shape == (fields, grid.n)
+        for row, values in zip(got, stack.values):
+            assert np.array_equal(row, rhs_nonlocal(Field(grid, values), g, policy).values)
 
 
 def _rate_hat_every_term(u_hat, grid, g, m):
@@ -292,6 +327,35 @@ def test_form_equivalence_random_sweep(grid):
         a, b = random_mode_coefficients(rng, 10)
         u = trig_field(grid, a, b, amplitude=0.8)
         assert verify_form_equivalence(u, m) < 1e-8
+
+
+@pytest.mark.parametrize("seed", [20240, 5, 1, 17])
+@pytest.mark.parametrize("fault", [None, "beta8"])
+def test_form_equivalence_suite_residual_equals_per_field_max_bitwise(grid, seed, fault):
+    # the suite checks its fields in 16-field stacks; the residual is the max
+    # of one verify_form_equivalence call per field, to the bit
+    m = model_coefficients(1.5)
+    g = None if fault is None else perturbed(normalize(m), fault)
+    rng = np.random.default_rng(seed)
+    per_field = [verify_form_equivalence(trig_field(grid, *random_mode_coefficients(rng, 10),
+                                                    amplitude=0.8), m, g)
+                 for _ in range(checks.FORM_SAMPLES)]
+    residual = checks.form_equivalence_suite(seed, m, g)[0]["residual"]
+    assert residual == float(np.max(per_field))
+    assert (residual < 1e-8) == (fault is None)
+
+
+def test_form_equivalence_suite_memory_is_bounded_by_its_stacks():
+    # 16-field stacks peaked at about 0.55 MiB, one 50-field stack at 1.7 MiB
+    m = model_coefficients(1.5)
+    checks.form_equivalence_suite(20240, m)  # first call loads what numpy loads lazily
+    tracemalloc.start()
+    try:
+        checks.form_equivalence_suite(20240, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
 
 
 def test_form_equivalence_refines_spectrally():

@@ -5,13 +5,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from shearwaves.besov import besov_norm, decompose, inequality_suite
+from shearwaves.checks import CAMASSA_HOLM
 from shearwaves.oracles import (
     GAUSS_NODES,
     GAUSS_WEIGHTS,
+    camassa_holm_rhs,
     fd_derivative6,
     helmholtz_inverse_quadrature,
     trig_eval,
 )
+from shearwaves.solver import SimConfig, integrate
 from shearwaves.spectral import (
     Field,
     Grid,
@@ -23,6 +27,7 @@ from shearwaves.spectral import (
     helmholtz_inverse_dx,
     random_mode_coefficients,
     sobolev_norm,
+    sup_norm,
     trig_field,
 )
 
@@ -58,8 +63,74 @@ def test_grid_wavenumbers(grid):
 
 
 def test_field_shape_check(grid):
-    with pytest.raises(ValueError):
-        Field(grid, np.zeros(100))
+    # one field (n,) or a stack (F, n); a 0-d value, a last axis other than n
+    # and a stack of stacks are refused
+    for values in (np.zeros(100), np.zeros((3, 100)), np.float64(1.0), np.zeros((2, 2, grid.n))):
+        with pytest.raises(ValueError, match="got shape"):
+            Field(grid, values)
+    assert Field(grid, np.zeros((3, grid.n))).values.shape == (3, grid.n)
+
+
+def _stack(grid, fields, seed=40):
+    a, b = random_mode_coefficients(np.random.default_rng(seed), 12, fields=fields)
+    return trig_field(grid, a, b, amplitude=0.7)
+
+
+@pytest.mark.parametrize("fields", [1, 3, 16])
+@pytest.mark.parametrize("operator", [
+    derivative, helmholtz_inverse, helmholtz_inverse_dx, dealias,
+    lambda f: dealias(f, "strong"), lambda f: dealias(f, None),
+], ids=["derivative", "helmholtz_inverse", "helmholtz_inverse_dx", "dealias-two_thirds",
+        "dealias-strong", "dealias-none"])
+def test_operators_on_a_stack_equal_per_row_bitwise(grid, operator, fields):
+    stack = _stack(grid, fields)
+    got = operator(stack).values
+    assert got.shape == (fields, grid.n)
+    for row, values in zip(got, stack.values):
+        assert np.array_equal(row, operator(Field(grid, values)).values)
+
+
+@pytest.mark.parametrize("reader", [
+    "csv_text", "field_to_csv", "decompose", "besov_norm", "inequality_suite", "integrate",
+    "trig_eval", "helmholtz_inverse_quadrature", "camassa_holm_rhs", "fd_derivative6",
+])
+def test_single_field_readers_refuse_a_stack(tmp_path, grid, reader):
+    # each would mix the rows of a stack or fail deep inside
+    stack = _stack(grid, 3)
+    sim = SimConfig(grid=grid, coefficients=CAMASSA_HOLM, t_end=0.1, dt=0.01)
+    call = {
+        "csv_text": lambda: csv_text(stack),
+        "field_to_csv": lambda: field_to_csv(stack, tmp_path / "snap.csv"),
+        "decompose": lambda: decompose(stack),
+        "besov_norm": lambda: besov_norm(stack, 1.0, 2.0, 2.0),
+        "inequality_suite": lambda: inequality_suite([stack]),
+        "integrate": lambda: integrate(sim, stack),
+        "trig_eval": lambda: trig_eval(stack, [0.5]),
+        "helmholtz_inverse_quadrature": lambda: helmholtz_inverse_quadrature(stack),
+        "camassa_holm_rhs": lambda: camassa_holm_rhs(stack),
+        "fd_derivative6": lambda: fd_derivative6(stack.values, grid.dx),
+    }[reader]
+    with pytest.raises(ValueError, match=r"takes one field, got values of shape \(3, 256\)"):
+        call()
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("fields", [1, 3, 16])
+def test_random_fields_as_a_stack_equal_per_field_draws_bitwise(grid, fields):
+    stacked = random_mode_coefficients(np.random.default_rng(41), 9, fields=fields)
+    rng = np.random.default_rng(41)
+    one_by_one = [random_mode_coefficients(rng, 9) for _ in range(fields)]
+    for got, want in zip(stacked, zip(*one_by_one)):
+        assert got.shape == (fields, 9)
+        assert np.array_equal(got, np.array(want))
+    a, b = stacked
+    a[0] = b[0] = 0.0  # a zero row: nothing to rescale
+    for amplitude in (None, 0.7):
+        f = trig_field(grid, a, b, amplitude)
+        rows = [trig_field(grid, a_i, b_i, amplitude).values for a_i, b_i in zip(a, b)]
+        assert np.array_equal(f.values, np.array(rows))
+    assert not f.values[0].any()
+    assert sup_norm(f) == max(sup_norm(Field(grid, row)) for row in f.values)
 
 
 def test_derivative_constant_is_zero(grid):
