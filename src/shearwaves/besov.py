@@ -132,16 +132,19 @@ THETA = 0.5
 SUITE_BATCH = 16
 
 
-def inequality_suite(fields, exact_tol: float = 1e-12) -> tuple:
-    """Exact-inequality checks over a sample of single fields on one grid.
+def inequality_suite(stacks, exact_tol: float = 1e-12) -> tuple:
+    """Exact-inequality checks over a sample of fields on one grid, given as
+    ``Field``s that each hold one field or a stack of them, rows in order.
 
     Per field: (a) summation-index monotonicity (l^r nesting), (b) convexity
     interpolation in the smoothness index, (c) the logarithmic interpolation
     ratio, which has no closed-form constant and is only recorded.  The
-    blocks are built ``SUITE_BATCH`` fields per rfft/irfft pair, so the
-    transient (batch, Q+2, n) blocks stay the same size for any F; each
-    batch gives its block L^p norms and its reconstruction residuals, and
-    each Besov norm is then one reduction over the (F, Q+2) norms.
+    blocks are built from each stack as it is, at most ``SUITE_BATCH`` rows
+    per rfft/irfft pair, so the transient (batch, Q+2, n) blocks stay the
+    same size for any number of fields; each batch gives its block L^p norms
+    and its reconstruction residuals, and each Besov norm is then one
+    reduction over the (F, Q+2) norms.  pocketfft transforms each row alone,
+    so no bit depends on how the fields are stacked.
 
     Returns four arrays, one row per field: ``excess`` (F, 6), how far each
     value exceeds its bound (the three r-monotonicity pairs, then the three
@@ -150,22 +153,21 @@ def inequality_suite(fields, exact_tol: float = 1e-12) -> tuple:
     ``reconstruction`` (F,), max|sum of blocks - u|.  A NaN sample makes its
     field's values NaN and its checks fail.
     """
-    fields = list(fields)
-    if not fields:
-        return np.empty((0, 6)), np.empty((0, 6), dtype=bool), np.empty(0), np.empty(0)
-    grid = fields[0].grid
-    for u in fields:
-        u.single_values("inequality_suite")
+    grid, norms, reconstruction = None, [], []
+    for u in stacks:
+        grid = u.grid if grid is None else grid
         if u.grid != grid:
             raise ValueError(f"inequality_suite needs one grid, got {grid} and {u.grid}")
-    q, multipliers = _cutoffs(grid)
-    norms = np.empty((len(fields), len(q)))
-    reconstruction = np.empty(len(fields))
-    for lo in range(0, len(fields), SUITE_BATCH):
-        values = np.array([u.values for u in fields[lo:lo + SUITE_BATCH]])
-        blocks = _blocks(grid, multipliers, values)
-        norms[lo:lo + SUITE_BATCH] = _lp_norms(blocks, grid.dx, P)
-        reconstruction[lo:lo + SUITE_BATCH] = np.max(np.abs(blocks.sum(axis=-2) - values), axis=-1)
+        q, multipliers = _cutoffs(grid)
+        rows = u.values.reshape(-1, grid.n)  # a view: one field is a stack of one
+        for lo in range(0, len(rows), SUITE_BATCH):
+            values = rows[lo:lo + SUITE_BATCH]
+            blocks = _blocks(grid, multipliers, values)
+            norms.append(_lp_norms(blocks, grid.dx, P))
+            reconstruction.append(np.max(np.abs(blocks.sum(axis=-2) - values), axis=-1))
+    if grid is None:
+        return np.empty((0, 6)), np.empty((0, 6), dtype=bool), np.empty(0), np.empty(0)
+    norms, reconstruction = np.concatenate(norms), np.concatenate(reconstruction)
     s_mid, rs = THETA * S1 + (1.0 - THETA) * S2, (1.0, 2.0, math.inf)
     besov = {(s, r): _besov_from_norms(q, norms, s, r) for s in (S1, S2, s_mid) for r in rs}
     value = np.array([besov[S1, 2.0], besov[S1, math.inf], besov[S1, math.inf]]

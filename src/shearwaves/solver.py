@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field as dataclass_field, fields, replace
+from itertools import islice
 
 import numpy as np
 
@@ -64,8 +65,10 @@ class SimConfig:
     stability limit 2 sqrt(2) / (k_c speed) on the retained band, k_c its
     highest wavenumber: each step is the smaller of that cap and the
     error-controlled proposal, see ``integrate``.  ``forcing`` is an
-    optional callable (t, x_array) -> array added to the right-hand side,
-    used by the manufactured-solution harness.
+    optional callable (times, x_array) -> array added to the right-hand
+    side, used by the manufactured-solution harness: for a sequence of B
+    times it returns B rows of samples, each bit for bit its value at that
+    time alone, so a run may take its stage times in blocks.
     ``breaking_stop`` ends the run at the first step with min u_x <= it (< 0;
     min u_x <= 0 always).  ``sobolev_s`` must keep the largest weight
     (1 + k_max^2)^s of the hs norm finite.
@@ -157,12 +160,17 @@ class LawsonRK4:
     L = beta1 ik/(1+k^2) - alpha1 ik on those bins, the coefficients with
     alpha1 = beta1 = 0 for the nonlinear rate, the ``rate_hat`` workspace and
     the last step's first and last stage rates k1 and k4, NaN until a rate
-    primes k1.  ``forcing`` (t, x) -> array, if given, is added to the rate;
-    its spectrum at a step's end time is kept for the next step starting there.
+    primes k1.  ``forcing`` (times, x) -> rows, if given, is added to the
+    rate.  Its retained spectra are tabulated a block of times at a time, one
+    forcing call and one rfft per block: the next ``FORCING_BLOCK`` of the
+    run's ``stage_times`` when a step reaches the first of them, else the one
+    time asked for.  So a fixed-dt run, which lists its stage times ahead,
+    takes the forcing once per block, and any other time (a CFL step, the
+    retry of a rejected one, a step driven by hand) is a block of one.
     """
 
     def __init__(self, grid: Grid, g: GeneralCoefficients, dealias_policy: str | None = None,
-                 forcing=None):
+                 forcing=None, stage_times=()):
         self.grid = grid
         self.m = m = grid.retained_bins(dealias_policy)
         self.linear = g.beta1 * grid.mult_helmholtz_dx[:m] - g.alpha1 * grid.mult_dx[:m]
@@ -170,15 +178,23 @@ class LawsonRK4:
         self.forcing = forcing
         self.work = RateWorkspace(grid.n, m)
         self.k1 = self.k4 = np.full(m, np.nan, dtype=complex)
-        self._forcing_at = (None, None)
+        self._stage_times = iter(stage_times)
+        self._upcoming = next(self._stage_times, None)  # the first stage time not yet tabulated
+        self._block, self._block_hats = {}, None  # time -> row of the current block's spectra
 
     def forcing_hat(self, t: float):
-        """Retained spectrum of the forcing at t; the last one is reused."""
-        time, f_hat = self._forcing_at
-        if time != t:
-            f_hat = np.fft.rfft(self.forcing(t, self.grid.x))[:self.m]
-            self._forcing_at = (t, f_hat)
-        return f_hat
+        """Retained spectrum of the forcing at t, a row of the current block;
+        a time outside it starts the next block."""
+        row = self._block.get(t)
+        if row is None:
+            times = [t]
+            if t == self._upcoming:
+                times.extend(islice(self._stage_times, FORCING_BLOCK - 1))
+                self._upcoming = next(self._stage_times, None)
+            self._block = {time: i for i, time in enumerate(times)}
+            self._block_hats = np.fft.rfft(self.forcing(times, self.grid.x))[:, :self.m]
+            row = 0
+        return self._block_hats[row]
 
     def rate(self, w: np.ndarray, t: float) -> np.ndarray:
         """Nonlinear rate of the retained spectrum w, plus the forcing at t."""
@@ -203,8 +219,9 @@ def step_rk4(plan: LawsonRK4, w: np.ndarray, dt: float, t: float = 0.0) -> np.nd
     """One Lawson integrating-factor RK4 step of the retained half-spectrum w
     from t to t + dt; negative dt integrates backwards.
 
-    With E = exp(L dt/2) and N the nonlinear rate (forcing included, taken
-    once at each of t, t + dt/2 and t + dt), the stages are classical RK4 on
+    With E = exp(L dt/2) and N the nonlinear rate (forcing included, looked
+    up once at each of t, t + dt/2 and t + dt in the plan's block of
+    tabulated forcing spectra), the stages are classical RK4 on
     exp(-L t) w, so the linear drift is exact at any dt.  Precondition:
     ``plan.k1`` holds N(w, t), as the last step or ``plan.k1 = plan.rate(w,
     t)`` leaves it.  Returns the new state w_new and leaves w untouched; the
@@ -238,6 +255,22 @@ def _diagnose(plan: LawsonRK4, w: np.ndarray, row: tuple, s: float) -> Diagnosti
     return DiagnosticsRecord(t, sup_u, min_ux, max_ux, h1=sobolev_norm(grid, w, 1.0),
                              hs=sobolev_norm(grid, w, s), breaking_integral=integral,
                              ch_energy=float(grid.dx * np.sum(u**2 + ux**2)))
+
+
+FORCING_BLOCK = 16  # stage times per forcing call: bounds a block's transient memory
+
+
+def _stage_times(dt: float, t_end: float):
+    """The forcing times of a fixed-dt run: t = 0, then t + dt/2 and t + dt of
+    each step, from the same recurrence as ``integrate``'s loop and the same
+    float operations as ``step_rk4``."""
+    t, tiny = 0.0, 1e-12 * t_end
+    yield t
+    while t < t_end - tiny:
+        step = min(dt, t_end - t)
+        yield t + 0.5 * step
+        t += step
+        yield t
 
 
 RK4_IMAGINARY_LIMIT = 2 * math.sqrt(2)  # RK4 is stable on the imaginary axis up to |z| = it
@@ -291,7 +324,8 @@ def integrate(cfg: SimConfig, u0: Field) -> Trajectory:
     if u0.grid != cfg.grid:
         raise ValueError("initial data grid does not match the configured grid")
     g, grid = cfg.coefficients, cfg.grid
-    plan = LawsonRK4(grid, g, cfg.dealias_policy, cfg.forcing)
+    plan = LawsonRK4(grid, g, cfg.dealias_policy, cfg.forcing,
+                     _stage_times(cfg.dt, cfg.t_end) if cfg.dt is not None else ())
     w = np.fft.rfft(u0.single_values("integrate"))[:plan.m]
     plan.k1 = plan.rate(w, 0.0)
     values, slopes = plan.work.values
@@ -412,10 +446,15 @@ def breaking_monitor(series) -> str:
 def manufactured_forcing(grid: Grid, g: GeneralCoefficients, u_exact, u_exact_t,
                          dealias_policy: str | None = None):
     """Forcing that makes ``u_exact`` solve the semi-discrete system exactly:
-    f(t, x) = du*/dt - rhs(u*(t, .))."""
+    f(t, x) = du*/dt - rhs(u*(t, .)), one row per time of ``times``.  u* and
+    du*/dt are evaluated once per time, as for that time alone, and stacked,
+    so no ufunc loop sees a different shape; the rate takes the whole stack
+    in one ``rhs_nonlocal`` call, which works row by row.  Each row is bit
+    for bit the forcing at its time alone."""
 
-    def forcing(t, x):
-        state = Field(grid, u_exact(t, grid.x))
-        return u_exact_t(t, grid.x) - rhs_nonlocal(state, g, dealias_policy).values
+    def forcing(times, x):
+        states = Field(grid, np.array([u_exact(t, grid.x) for t in times]))
+        rates = np.array([u_exact_t(t, grid.x) for t in times])
+        return rates - rhs_nonlocal(states, g, dealias_policy).values
 
     return forcing

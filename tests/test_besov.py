@@ -22,6 +22,11 @@ def grid():
     return Grid(256, 40.0)
 
 
+def _stacked(fields):
+    """One stack of the given single fields, in order."""
+    return Field(fields[0].grid, np.array([u.values for u in fields]))
+
+
 def test_cutoff_supports():
     xi = np.linspace(-6, 6, 4001)
     chi = chi_cutoff(xi)
@@ -189,10 +194,13 @@ def test_inequality_suite_entries_equal_per_entry_besov_norms(grid):
     # every entry recomputed from a fresh besov_norm(u, s, 2, r) per norm, and
     # every reconstruction from a fresh decompose(u): the suite's shared
     # batched blocks must not move a single bit
+    # the sample comes as a stack of 37 rows (batches of 16, 16 and 5), one
+    # field and a stack of 62 rows
     rng = np.random.default_rng(17)
     fields = [trig_field(grid, *random_mode_coefficients(rng, 40), amplitude=1.0)
               for _ in range(100)]
-    excess, passed, log_ratio, reconstruction = inequality_suite(fields)
+    excess, passed, log_ratio, reconstruction = inequality_suite(
+        [_stacked(fields[:37]), fields[37], _stacked(fields[38:])])
     expect = []
     ratios = []
     for u in fields:
@@ -215,11 +223,10 @@ def test_inequality_suite_entries_equal_per_entry_besov_norms(grid):
 
 def test_inequality_suite_memory_is_bounded_by_its_batch(grid):
     # 100 fields at n = 256 as one (100, Q+2, n) block array peaked at about
-    # 4.1 MiB; batches of SUITE_BATCH fields keep the blocks and the report
-    # under 1 MiB
+    # 4.1 MiB; batches of SUITE_BATCH rows of the one 100-row stack keep the
+    # blocks and the report under 1 MiB
     rng = np.random.default_rng(31)
-    fields = [trig_field(grid, *random_mode_coefficients(rng, 40), amplitude=1.0)
-              for _ in range(100)]
+    fields = [trig_field(grid, *random_mode_coefficients(rng, 40, fields=100), amplitude=1.0)]
     inequality_suite(fields)  # first call loads what numpy loads lazily
     tracemalloc.start()
     try:
@@ -285,6 +292,21 @@ def test_inequality_suite_nan_sample_fails_its_field_only(grid):
     for after, before in zip(report, clean):
         assert after.shape == before.shape
         assert after[1:].tobytes() == before[1:].tobytes()
+    # the same sample as one stack: every array bit for bit, NaNs included
+    for stacked, alone in zip(inequality_suite([_stacked(fields)]), report):
+        assert stacked.tobytes() == alone.tobytes()
+
+
+def test_inequality_suite_takes_stacks_bitwise_as_their_rows(grid):
+    # the verify sample's 16-row stacks, as they come, against the same 100
+    # fields one by one: all four arrays bit for bit
+    rng = np.random.default_rng(20240)
+    stacks = [trig_field(grid, *random_mode_coefficients(rng, 40, fields=rows), amplitude=1.0)
+              for rows in (16,) * 6 + (4,)]
+    singles = [Field(grid, row) for stack in stacks for row in stack.values]
+    for got, want in zip(inequality_suite(iter(stacks)), inequality_suite(singles)):
+        assert got.shape[0] == 100
+        assert got.tobytes() == want.tobytes()
 
 
 def test_inequality_suite_empty_sample(grid):
@@ -298,6 +320,8 @@ def test_inequality_suite_rejects_mixed_grids(grid):
     fields = [Field(grid, np.zeros(grid.n)), Field(other, np.zeros(other.n))]
     with pytest.raises(ValueError, match=r"Grid\(n=256, length=40\.0\).*Grid\(n=128, length=40\.0\)"):
         inequality_suite(fields)
+    with pytest.raises(ValueError, match=r"Grid\(n=256, length=40\.0\).*Grid\(n=128, length=40\.0\)"):
+        inequality_suite([Field(grid, np.zeros((3, grid.n))), Field(other, np.zeros((2, other.n)))])
 
 
 def test_r_monotonicity_exact(grid):

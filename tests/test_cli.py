@@ -136,13 +136,15 @@ def test_verify_form_equivalence_checks_its_fields_in_stacks(monkeypatch):
 @pytest.mark.parametrize("nan_field", [4, 37])
 def test_verify_besov_fails_on_nan_field(capsys, monkeypatch, nan_field):
     # one NaN sample in one of the suite's random fields fails all three checks;
-    # rows 4 and 37 lie in the first and the third 16-field stack
+    # rows 4 and 37 lie in the first and the third 16-field stack, which the
+    # suite takes as they are
     real_suite = checks.besov_mod.inequality_suite
 
-    def suite_with_nan(fields):
-        assert len(fields) == checks.BESOV_SAMPLES
-        fields[nan_field].values[5] = np.nan
-        return real_suite(fields)
+    def suite_with_nan(stacks):
+        stacks = list(stacks)
+        assert [s.values.shape for s in stacks] == [(16, 256)] * 6 + [(4, 256)]
+        stacks[nan_field // 16].values[nan_field % 16, 5] = np.nan
+        return real_suite(stacks)
 
     monkeypatch.setattr(checks.besov_mod, "inequality_suite", suite_with_nan)
     assert run_cli("verify", "--only", "besov") == 1

@@ -151,45 +151,123 @@ def test_mms_exactness_n128():
     assert err < 1e-8
 
 
+def _recorded_mms_forcing(grid, g, calls, policy="two_thirds", amplitude=0.1, mode=1):
+    """The forcing of ``mms_solution(40.0, amplitude, mode)``, appending the
+    times of each call to ``calls``; returns it and the exact solution."""
+    u_exact, u_exact_t = mms_solution(40.0, amplitude, mode)
+    forcing = manufactured_forcing(grid, g, u_exact, u_exact_t, policy)
+
+    def recorded(times, x):
+        calls.append(list(times))
+        return forcing(times, x)
+
+    return recorded, u_exact
+
+
 def test_forcing_called_once_per_stage_time():
-    # stages k2 and k3 share t + dt/2: the forcing, a full rhs_nonlocal per
-    # call, depends on t only and is taken once there
+    # stages k2 and k3 share t + dt/2 and k4 and the next k1 share t + dt: each
+    # time is looked up in the plan's block and tabulated once.  A plan stepped
+    # by hand lists no stage times, so each time is a block of one; a plan given
+    # the step's stage times tabulates all three in one forcing call
     g = normalize(model_coefficients(1.5))
     grid = Grid(64, 40.0)
-    u_exact, u_exact_t = mms_solution(40.0)
-    forcing = manufactured_forcing(grid, g, u_exact, u_exact_t, "two_thirds")
-    times = []
-
-    def recorded(t, x):
-        times.append(t)
-        return forcing(t, x)
-
     t, dt = 0.3, 0.01
-    plan = LawsonRK4(grid, g, "two_thirds", recorded)
-    u, _ = hand_steps(plan, Field(grid, u_exact(t, grid.x)), dt, 1, t)
-    assert times == [t, t + dt / 2, t + dt]
-    assert np.all(np.isfinite(u.values))
+    results = []
+    for stage_times, expect in [((), [[t], [t + dt / 2], [t + dt]]),
+                                ([t, t + dt / 2, t + dt], [[t, t + dt / 2, t + dt]])]:
+        calls = []
+        forcing, u_exact = _recorded_mms_forcing(grid, g, calls)
+        plan = LawsonRK4(grid, g, "two_thirds", forcing, stage_times)
+        u, _ = hand_steps(plan, Field(grid, u_exact(t, grid.x)), dt, 1, t)
+        assert calls == expect
+        assert np.all(np.isfinite(u.values))
+        results.append(u.values)
+    assert np.array_equal(results[0], results[1])
 
 
 def test_forced_run_reuses_the_forcing_at_each_step_boundary():
     # a step's end time t + dt is the next step's start time, the same float,
-    # so k steps take the forcing 2k + 1 times rather than 3k
+    # so k steps have 2k + 1 stage times; a fixed-dt run lists them ahead and
+    # takes them FORCING_BLOCK at a time: ceil((2k + 1)/16) forcing calls, each
+    # time seen exactly once (t_end = 0.105 clips the last step to 0.005)
     g = normalize(model_coefficients(1.5))
     grid = Grid(64, 40.0)
-    u_exact, u_exact_t = mms_solution(40.0)
-    forcing = manufactured_forcing(grid, g, u_exact, u_exact_t, "two_thirds")
-    times = []
+    for t_end, dt, steps in [(0.1, 0.01, 10), (0.5, 0.01, 50), (0.105, 0.01, 11)]:
+        calls = []
+        forcing, u_exact = _recorded_mms_forcing(grid, g, calls)
+        cfg = SimConfig(grid=grid, coefficients=g, t_end=t_end, dt=dt, forcing=forcing)
+        traj = integrate(cfg, Field(grid, u_exact(0.0, grid.x)))
+        assert traj.termination == "completed" and traj.steps == steps
+        assert len(calls) == math.ceil((2 * steps + 1) / solver.FORCING_BLOCK)
+        assert [len(c) for c in calls[:-1]] == [solver.FORCING_BLOCK] * (len(calls) - 1)
+        times = [t for c in calls for t in c]
+        assert len(times) == 2 * steps + 1 == len(set(times))
+        assert times == list(solver._stage_times(dt, t_end))
+        # the step boundaries are the series' times, bit for bit
+        assert times[::2] == traj.series[:, 0].tolist()
 
-    def recorded(t, x):
-        times.append(t)
-        return forcing(t, x)
 
-    cfg = SimConfig(grid=grid, coefficients=g, t_end=0.1, dt=0.01, forcing=recorded)
+@pytest.mark.parametrize("policy", ["two_thirds", "strong", None])
+def test_tabulated_forcing_rows_equal_one_time_values_bitwise(policy):
+    # a block of stage times gives each row bit for bit the one-time forcing,
+    # in sample space and as the plan's retained spectrum
+    g = normalize(model_coefficients(1.5))
+    grid = Grid(128, 40.0)
+    times = list(solver._stage_times(0.013, 0.1))
+    forcing, _ = _recorded_mms_forcing(grid, g, [], policy)
+    block = forcing(times, grid.x)
+    assert block.shape == (len(times), grid.n)
+    for t, row in zip(times, block):
+        assert np.array_equal(row, forcing([t], grid.x)[0])
+    plan = LawsonRK4(grid, g, policy, forcing, times)
+    alone = LawsonRK4(grid, g, policy, forcing)
+    for t in times:
+        want = np.fft.rfft(forcing([t], grid.x)[0])[:plan.m]
+        assert np.array_equal(plan.forcing_hat(t), want)
+        assert np.array_equal(alone.forcing_hat(t), want)
+
+
+def test_cfl_forced_run_retries_reuse_their_start_time():
+    # a CFL run lists no stage times: each time is a block of one, and a
+    # rejected attempt's retry takes the forcing again at the time it started
+    # from.  Here the first two attempts at t = 0 are rejected
+    g = normalize(model_coefficients(1.5))
+    grid = Grid(64, 40.0)
+    calls = []
+    forcing, u_exact = _recorded_mms_forcing(grid, g, calls, amplitude=0.2, mode=4)
+    cfg = SimConfig(grid=grid, coefficients=g, t_end=0.5, cfl=0.5, forcing=forcing)
     traj = integrate(cfg, Field(grid, u_exact(0.0, grid.x)))
-    steps = len(traj.records) - 1
-    assert traj.termination == "completed" and steps == 10
-    assert len(times) == 2 * steps + 1
-    assert len(set(times)) == len(times)
+    assert traj.termination == "completed" and traj.rejected_steps == 2
+    assert all(len(c) == 1 for c in calls)
+    attempts = traj.steps + traj.rejected_steps
+    assert len(calls) == 1 + 2 * attempts + traj.rejected_steps
+    times = [c[0] for c in calls]
+    # a repeated time is an accepted state's (here t = 0, and t_end, which the
+    # first attempt also reached); t = 0 is taken at the start and by both retries
+    assert {t for t in times if times.count(t) > 1} <= set(traj.series[:, 0].tolist())
+    assert times.count(0.0) == 1 + 2
+    assert np.max(np.abs(traj.final().values - u_exact(0.5, grid.x))) < 1e-6
+
+
+def test_forced_run_memory_is_bounded_by_its_blocks():
+    # the breaking entry's quiet MMS run, n = 128 and 1,000 fixed steps:
+    # tabulating all 2,001 stage times at once peaked at about 31 MiB, blocks
+    # of FORCING_BLOCK times hold the run under 1 MiB
+    g = normalize(model_coefficients(1.5))
+    grid = Grid(128, 40.0)
+    u_exact, u_exact_t = mms_solution(40.0)
+    cfg = SimConfig(grid=grid, coefficients=g, t_end=2.0, dt=2e-3, snapshot_stride=20,
+                    forcing=manufactured_forcing(grid, g, u_exact, u_exact_t, "two_thirds"))
+    u0 = Field(grid, u_exact(0.0, grid.x))
+    integrate(dataclasses.replace(cfg, t_end=0.1), u0)  # first call loads what numpy loads lazily
+    tracemalloc.start()
+    try:
+        traj = integrate(cfg, u0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.termination == "completed" and traj.steps == 1000
+    assert peak <= 2**20
 
 
 @pytest.mark.parametrize("policy, bound", [("two_thirds", 20), (None, 24)])

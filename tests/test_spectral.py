@@ -91,7 +91,7 @@ def test_operators_on_a_stack_equal_per_row_bitwise(grid, operator, fields):
 
 
 @pytest.mark.parametrize("reader", [
-    "csv_text", "field_to_csv", "decompose", "besov_norm", "inequality_suite", "integrate",
+    "csv_text", "field_to_csv", "decompose", "besov_norm", "integrate",
     "trig_eval", "helmholtz_inverse_quadrature", "camassa_holm_rhs", "fd_derivative6",
 ])
 def test_single_field_readers_refuse_a_stack(tmp_path, grid, reader):
@@ -103,7 +103,6 @@ def test_single_field_readers_refuse_a_stack(tmp_path, grid, reader):
         "field_to_csv": lambda: field_to_csv(stack, tmp_path / "snap.csv"),
         "decompose": lambda: decompose(stack),
         "besov_norm": lambda: besov_norm(stack, 1.0, 2.0, 2.0),
-        "inequality_suite": lambda: inequality_suite([stack]),
         "integrate": lambda: integrate(sim, stack),
         "trig_eval": lambda: trig_eval(stack, [0.5]),
         "helmholtz_inverse_quadrature": lambda: helmholtz_inverse_quadrature(stack),
