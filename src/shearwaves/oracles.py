@@ -30,8 +30,14 @@ def line_kernel(z):
 
 
 def _wrap_half(z, length):
-    """Wrap displacements into [-L/2, L/2) (nearest periodic image)."""
-    return (z + 0.5 * length) % length - 0.5 * length
+    """Nearest periodic image of displacements z in (-L, L): v = z + L/2 shifted once by L
+    in place, bit for bit (z + L/2) % L - L/2 there, where fmod and v - L are exact.  The
+    shift down goes first, so a v < 0 whose v + L rounds to L keeps L, as ``%`` does."""
+    v = z + 0.5 * length
+    np.subtract(v, length, out=v, where=v >= length)
+    np.add(v, length, out=v, where=v < 0.0)
+    v -= 0.5 * length
+    return v
 
 
 def trig_eval(f: Field, points) -> np.ndarray:
@@ -67,11 +73,13 @@ GAUSS_WEIGHTS = np.array([
     0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
     0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706,
 ])
+QUADRATURE_ROWS = 8  # grid rows summed together, a block of QUADRATURE_ROWS x 8n displacements
 
 
 def helmholtz_inverse_quadrature(f: Field) -> np.ndarray:
     """Convolution with the nearest-image exponential kernel by composite
-    Gauss-Legendre quadrature, one panel per grid cell.
+    Gauss-Legendre quadrature, one panel per grid cell, ``QUADRATURE_ROWS``
+    rows at a time, each row bit for bit its pairwise sum taken alone.
 
     The kernel kink sits on panel boundaries (grid nodes and their
     antipodes), so the integrand is smooth inside every panel and the rule
@@ -87,8 +95,9 @@ def helmholtz_inverse_quadrature(f: Field) -> np.ndarray:
     w = np.tile(half * GAUSS_WEIGHTS, grid.n)
     fy = trig_eval(f, y)
     out = np.empty(grid.n)
-    for i, xi in enumerate(grid.x):
-        out[i] = np.sum(w * line_kernel(_wrap_half(xi - y, grid.length)) * fy)
+    for i in range(0, grid.n, QUADRATURE_ROWS):
+        rows = slice(i, i + QUADRATURE_ROWS)  # one expression below: at most 3 blocks alive
+        out[rows] = np.sum(w * line_kernel(_wrap_half(grid.x[rows, None] - y, grid.length)) * fy, axis=1)
     return out
 
 

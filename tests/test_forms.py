@@ -208,6 +208,38 @@ def test_rate_hat_skips_zero_terms_bitwise(grid, policy, monkeypatch):
     assert not shapes
 
 
+def _h1_energy_identity_gap(u, g, rate_coefficients):
+    """<u, (1 - dxx) rhs_nonlocal(u)>, which is dE/dt for E = (1/2) int u^2 + u_x^2,
+    against -(alpha2/2 + beta7) int u_x^3 - (alpha3 + beta8 - gamma) int u u_x^3
+    of the set g: the gap and the scale |first term| + |second term|.  The rate
+    is taken with ``rate_coefficients``.  The flux terms carry no energy.
+    Transforms are raw numpy; the trapezoid sums are exact for these
+    band-limited products."""
+    grid = u.grid
+    k = 2 * np.pi * np.fft.rfftfreq(grid.n, grid.dx)
+    u_hat = np.fft.rfft(u.values)
+    ux = np.fft.irfft(1j * k * u_hat, grid.n)
+    smoothed = np.fft.irfft((1 + k**2) * u_hat, grid.n)  # (1 - dxx) u, self-adjoint
+    rate = rhs_nonlocal(u, rate_coefficients, "strong").values
+    first = -(g.alpha2 / 2 + g.beta7) * np.sum(ux**3) * grid.dx
+    second = -(g.alpha3 + g.beta8 - g.gamma) * np.sum(u.values * ux**3) * grid.dx
+    return abs(np.sum(smoothed * rate) * grid.dx - first - second), abs(first) + abs(second)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_rate_satisfies_h1_energy_identity(grid, seed):
+    rng = np.random.default_rng(40 + seed)
+    names = [f.name for f in dataclasses.fields(GeneralCoefficients)]
+    g = GeneralCoefficients(**dict(zip(names, rng.uniform(0.2, 1.0, 12) * rng.choice([-1, 1], 12))))
+    u = trig_field(grid, *random_mode_coefficients(rng, 8), amplitude=0.6)
+    gap, scale = _h1_energy_identity_gap(u, g, g)
+    assert gap <= 1e-12 * scale
+    # a slip in the rate's coefficients that carry energy breaks the identity
+    for name in ("beta8", "gamma"):
+        gap, scale = _h1_energy_identity_gap(u, g, perturbed(g, name, 1e-6))
+        assert gap > 1e-12 * scale
+
+
 def test_rhs_unknown_policy(grid):
     with pytest.raises(ValueError):
         rhs_nonlocal(Field(grid, np.zeros(grid.n)), CH, "off")

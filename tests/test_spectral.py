@@ -10,6 +10,7 @@ from shearwaves.checks import CAMASSA_HOLM
 from shearwaves.oracles import (
     GAUSS_NODES,
     GAUSS_WEIGHTS,
+    _wrap_half,
     camassa_holm_rhs,
     fd_derivative6,
     helmholtz_inverse_quadrature,
@@ -260,6 +261,48 @@ def test_quadrature_oracle_memory(grid):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def per_row_quadrature(f):
+    """The oracle as one row at a time with the floor-modulo wrap: the
+    reference that the blocked rows must equal bit for bit."""
+    grid = f.grid
+    half = 0.5 * grid.dx
+    y = (grid.x[:, None] + half * (GAUSS_NODES[None, :] + 1.0)).ravel()
+    w = np.tile(half * GAUSS_WEIGHTS, grid.n)
+    fy = trig_eval(f, y)
+    out = np.empty(grid.n)
+    for i, xi in enumerate(grid.x):
+        wrapped = (xi - y + 0.5 * grid.length) % grid.length - 0.5 * grid.length
+        out[i] = np.sum(w * (0.5 * np.exp(-np.abs(wrapped))) * fy)
+    return out
+
+
+@pytest.mark.parametrize("length", [40.0, 2 * np.pi, 1e-3])
+@pytest.mark.parametrize("n", [16, 64, 256, 1024])
+def test_quadrature_oracle_equals_per_row_modulo_form_bitwise(n, length):
+    grid = Grid(n, length)
+    rng = np.random.default_rng(n)
+    f = trig_field(grid, *random_mode_coefficients(rng, min(12, n // 2 - 1)), amplitude=1.0)
+    got = helmholtz_inverse_quadrature(f)
+    assert np.array_equal(got.view(np.int64), per_row_quadrature(f).view(np.int64))
+    values = f.values.copy()
+    values[n // 3] = np.nan
+    with_nan = Field(grid, values)
+    assert np.array_equal(helmholtz_inverse_quadrature(with_nan), per_row_quadrature(with_nan),
+                          equal_nan=True)
+
+
+@pytest.mark.parametrize("length", [40.0, 2 * np.pi, 1e-3, 1e5, 3.0])
+def test_wrap_half_equals_floor_modulo_bitwise(length):
+    # the displacements between two points of [0, L) lie in (-L, L); at the
+    # neighbour of -L/2 below it, z + L/2 + L rounds to L and % keeps L there
+    edges = np.array([0.0, -0.0, 0.5 * length, -0.5 * length])
+    inner = np.array([np.nextafter(length, 0.0), np.nextafter(-length, 0.0)])
+    z = np.concatenate([np.random.default_rng(5).uniform(-length, length, 10**5), edges, inner,
+                        np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)])
+    expect = (z + 0.5 * length) % length - 0.5 * length
+    assert np.array_equal(_wrap_half(z, length).view(np.int64), expect.view(np.int64))
 
 
 def test_gauss_table_is_leggauss():
